@@ -62,12 +62,21 @@ _PARAM_KEYS = {"b", "p_switch", "omega", "mega_batch", "share_batches",
 _RUN_KEYS = {"epochs", "record_every_epochs", "seeds", "max_iters"}
 
 _ETA_PATTERN = re.compile(r"^1/([0-9]*\.?[0-9]+)L$")
+# runs.csv writes ids unquoted, so they may not hold its separators
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def _require_keys(mapping, allowed, where):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _csv_id(value, where: str):
+    if _CSV_SPECIAL.search(str(value)):
+        raise ConfigError(f"{where} {value!r} may not contain a comma, a "
+                          "double quote or a line break")
+    return value
 
 
 @dataclass
@@ -112,8 +121,11 @@ class ExperimentConfig:
         if not raw["algorithms"]:
             raise ConfigError("need at least one algorithm")
         epochs = float(run_block.get("epochs", 1))
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        if not (math.isfinite(epochs) and epochs >= 1):
+            raise ConfigError("epochs must be finite and >= 1")
+        record_every = float(run_block.get("record_every_epochs", 1.0))
+        if not (math.isfinite(record_every) and record_every > 0):
+            raise ConfigError("record_every_epochs must be finite and > 0")
         algs = []
         for i, a in enumerate(raw["algorithms"]):
             _require_keys(a, _ALG_KEYS, f"algorithms[{i}]")
@@ -127,7 +139,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"params must be a dict, 'default:experiment', or "
                     f"'default:theory' (algorithms[{i}])")
-            algs.append(AlgorithmSpec(name=a.get("name", est), estimator=est,
+            name = _csv_id(a.get("name", est), f"algorithms[{i}].name")
+            algs.append(AlgorithmSpec(name=name, estimator=est,
                                       params_spec=params_spec,
                                       eta_spec=a.get("eta", "theory")))
         names = [a.name for a in algs]
@@ -140,11 +153,11 @@ class ExperimentConfig:
         if x0_mode not in ("zeros", "ones"):
             raise ConfigError("x0 must be 'zeros' or 'ones'")
         return ExperimentConfig(
-            experiment_id=str(raw["experiment_id"]),
+            experiment_id=str(_csv_id(raw["experiment_id"], "experiment_id")),
             problem=problem,
             algorithms=algs,
             epochs=epochs,
-            record_every_epochs=float(run_block.get("record_every_epochs", 1.0)),
+            record_every_epochs=record_every,
             seeds=seeds,
             max_iters=int(run_block.get("max_iters", 10_000_000)),
             fix_data=bool(raw.get("fix_data", False)),
@@ -189,17 +202,19 @@ def build_problem(problem_spec: dict, run_seed: int,
 
 def resolve_eta(spec, L: float, biased: bool) -> float:
     """eta given as a number, the '1/<c>L' idiom, or 'theory'."""
+    if isinstance(spec, bool):
+        raise ConfigError(f"eta must be a number, not {spec!r}")
     if isinstance(spec, (int, float)):
         eta = float(spec)
-        if eta <= 0:
-            raise ConfigError("eta must be positive")
+        if not (math.isfinite(eta) and eta > 0):
+            raise ConfigError("eta must be finite and positive")
         return eta
     if spec == "theory":
         return theory_stepsize(L, estimator_class="biased" if biased
                                else "unbiased")
     if isinstance(spec, str):
         m = _ETA_PATTERN.match(spec.replace(" ", ""))
-        if m:
+        if m and float(m.group(1)) > 0:
             return 1.0 / (float(m.group(1)) * L)
     raise ConfigError(f"cannot parse eta specification {spec!r}")
 

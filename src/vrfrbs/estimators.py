@@ -195,8 +195,9 @@ def _retain_default(kind: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # Step evaluation.  All randomness is materialized in `draws` first, so the
-# same deterministic core serves the RNG path, Monte-Carlo clones, and the
-# exact enumeration used by the verification module.
+# same deterministic core serves the RNG path, the exact enumeration used by
+# the verification module, and its Monte-Carlo checks, which evaluate many
+# independent draws of one step at once along a leading trial axis.
 # ---------------------------------------------------------------------------
 
 class _StepEval:
@@ -204,22 +205,44 @@ class _StepEval:
 
     Batch means are cached by (point-label, batch-label) so a value reused
     inside one formula (shared hybrid batches, snapshot equal to x_{k-1}) is
-    evaluated and charged once.
+    evaluated and charged once.  `trials` is None for one step with 1-D
+    draws, or the number T of trials whose draws carry a leading axis of
+    length T; batch means are then (T, dim) arrays.
     """
 
-    def __init__(self, state: EstimatorState, x, x1, x2):
+    def __init__(self, state: EstimatorState, x, x1, x2,
+                 trials: Optional[int] = None):
         self.st = state
         self.op = state.problem.forward
         self.points = {"x": x, "x1": x1, "x2": x2}
         self.cache: Dict[tuple, np.ndarray] = {}
         self.calls = 0
+        self.trials = trials
 
     def bmean(self, point_label: str, batch_label: str, idx) -> np.ndarray:
         key = (point_label, batch_label)
         if key not in self.cache:
-            self.cache[key] = self.op.batch_mean(self.points[point_label], idx)
-            self.calls += len(idx)
+            self.cache[key] = self.mean_at(self.points[point_label], idx)
         return self.cache[key]
+
+    def mean_at(self, point: np.ndarray, idx) -> np.ndarray:
+        """Uncached batch mean at `point`, charged one call per sample."""
+        if self.trials is None:
+            self.calls += len(idx)
+            return self.op.batch_mean(point, idx)
+        return self.components(point, idx).mean(axis=1)
+
+    def components(self, point: np.ndarray, idx) -> np.ndarray:
+        """Per-sample values at `point`, charged one call per sample; with
+        trials, one evaluation of the flattened (T, b) batch reshaped to
+        (T, b, dim)."""
+        if self.trials is None:
+            self.calls += len(idx)
+            return self.op.batch_components(point, idx)
+        flat = idx.reshape((-1,) + idx.shape[2:])
+        self.calls += len(flat)
+        rows = self.op.batch_components(point, flat)
+        return rows.reshape(idx.shape[:2] + rows.shape[1:])
 
     def full_at(self, tag: int, point: np.ndarray) -> np.ndarray:
         """Exact mean at an iterate identified by its index, with optional
@@ -235,12 +258,15 @@ class _StepEval:
         st.last_full = (tag, value)
         return value
 
-    def mega_mean(self, point_label: str, sample) -> np.ndarray:
-        return self.bmean(point_label, "mega", sample)
 
-
-def _draw_batch(state: EstimatorState, size: int):
-    return state.problem.forward.draw(state.rng, int(size))
+def _draw_batch(state: EstimatorState, size: int,
+                trials: Optional[int] = None):
+    """`size` samples, or (trials, size, ...) samples drawn in one call, so
+    trial t owns rows [t * size, (t + 1) * size) of the stream."""
+    if trials is None:
+        return state.problem.forward.draw(state.rng, int(size))
+    sample = state.problem.forward.draw(state.rng, trials * int(size))
+    return sample.reshape((trials, int(size)) + sample.shape[1:])
 
 
 def _sgd_batch_size(state: EstimatorState, x, x1, x2) -> int:
@@ -265,41 +291,81 @@ def _sgd_batch_size(state: EstimatorState, x, x1, x2) -> int:
     return b
 
 
-def _make_draws(state: EstimatorState, x, x1, x2) -> dict:
+def _make_draws(state: EstimatorState, x, x1, x2,
+                trials: Optional[int] = None) -> dict:
     """Materialize this step's randomness.  Fixed order: switch coin, mega
-    sample, recursion batch, blended batch."""
+    sample, recursion batch, blended batch.
+
+    With `trials` = T every draw gets a leading trial axis (coins (T,),
+    samples (T, size, ...)), and each sample is drawn for all T trials,
+    whether or not a trial's coin uses it.
+    """
     kind, pm, rng = state.kind, state.params, state.rng
+    batched = trials is not None
     draws: dict = {}
     if kind in _NEEDS_SWITCH:
-        draws["coin"] = bool(rng.random() < pm.p_switch)
-    if kind in (SVRG, HSVRG) and draws["coin"] and pm.mega_batch != "exact":
-        draws["mega"] = _draw_batch(state, pm.mega_batch)
-    if kind == SARAH and draws["coin"] and pm.mega_batch != "exact":
-        draws["mega"] = _draw_batch(state, pm.mega_batch)
+        if batched:
+            draws["coin"] = rng.random(trials) < pm.p_switch
+        else:
+            draws["coin"] = bool(rng.random() < pm.p_switch)
+        if pm.mega_batch != "exact" and (batched or draws["coin"]):
+            draws["mega"] = _draw_batch(state, pm.mega_batch, trials)
     if kind == FULL:
         return draws
     if kind == SGD:
-        draws["batch"] = _draw_batch(state, _sgd_batch_size(state, x, x1, x2))
+        draws["batch"] = _draw_batch(
+            state, _sgd_batch_size(state, x, x1, x2), trials)
         return draws
-    if kind == SARAH and draws["coin"]:
+    if kind == SARAH and not batched and draws["coin"]:
         return draws
-    draws["batch"] = _draw_batch(state, int(pm.b))
+    draws["batch"] = _draw_batch(state, int(pm.b), trials)
     if kind in (HSGD, HSVRG):
         draws["batch_hat"] = draws["batch"] if pm.share_batches \
-            else _draw_batch(state, int(pm.b))
+            else _draw_batch(state, int(pm.b), trials)
     return draws
+
+
+def _anchor_at(ev: _StepEval, point: np.ndarray, draws: dict) -> np.ndarray:
+    """Anchor value of a snapshot taken at x_{k-1} (`point`)."""
+    if ev.st.params.mega_batch == "exact":
+        return ev.full_at(ev.st.k - 1, point)
+    # mega sample evaluated at the snapshot only; not reused elsewhere
+    return ev.mean_at(point, draws["mega"])
 
 
 def _refresh_snapshot(ev: _StepEval, x1: np.ndarray, draws: dict) -> None:
     st = ev.st
     st.snapshot = np.array(x1, copy=True)
     st.snapshot_tag = st.k - 1
-    if st.params.mega_batch == "exact":
-        st.anchor_value = ev.full_at(st.k - 1, st.snapshot)
-    else:
-        # mega sample evaluated at the snapshot only; not reused elsewhere
-        st.anchor_value = ev.op.batch_mean(st.snapshot, draws["mega"])
-        ev.calls += len(draws["mega"])
+    st.anchor_value = _anchor_at(ev, st.snapshot, draws)
+
+
+def _select(coin, on_coin, otherwise):
+    """Per-trial choice between the two branch values of a coin; None marks
+    a branch no trial takes."""
+    if on_coin is None:
+        return otherwise
+    if otherwise is None:
+        return on_coin
+    return np.where(coin[:, None], on_coin, otherwise)
+
+
+def _snapshot_coin(ev: _StepEval, x1: np.ndarray, draws: dict):
+    """Apply the snapshot coin.
+
+    One step refreshes the state's snapshot in place when its coin comes
+    up and returns None.  A trial-batched step leaves the state alone and
+    returns (coin, anchor value at x_{k-1}) for `_svrg_term`, or None when
+    no trial refreshes.
+    """
+    coin = draws["coin"]
+    if ev.trials is None:
+        if coin:
+            _refresh_snapshot(ev, x1, draws)
+        return None
+    if not coin.any():
+        return None
+    return coin, _anchor_at(ev, x1, draws)
 
 
 def _snapshot_label(st: EstimatorState) -> str:
@@ -307,7 +373,13 @@ def _snapshot_label(st: EstimatorState) -> str:
     return "x1" if st.snapshot_tag == st.k - 1 else "w"
 
 
-def _svrg_term(ev: _StepEval, batch_label: str, idx) -> np.ndarray:
+def _svrg_term(ev: _StepEval, batch_label: str, idx,
+               refresh=None) -> np.ndarray:
+    """anchor - G_B(w) + 2 G_B(x_k) - G_B(x_{k-1}) at the snapshot w.
+
+    `refresh` is what `_snapshot_coin` returned: in a trial-batched step the
+    trials whose coin came up use w = x_{k-1} and its new anchor value.
+    """
     st = ev.st
     wl = _snapshot_label(st)
     if wl == "w":
@@ -315,7 +387,12 @@ def _svrg_term(ev: _StepEval, batch_label: str, idx) -> np.ndarray:
     gw = ev.bmean(wl, batch_label, idx)
     gx = ev.bmean("x", batch_label, idx)
     gx1 = ev.bmean("x1", batch_label, idx)
-    return st.anchor_value - gw + 2.0 * gx - gx1
+    anchor = st.anchor_value
+    if refresh is not None:
+        coin, new_anchor = refresh
+        anchor = _select(coin, new_anchor, anchor)
+        gw = _select(coin, gx1, gw)
+    return anchor - gw + 2.0 * gx - gx1
 
 
 def _sarah_increment(ev: _StepEval, idx) -> np.ndarray:
@@ -338,19 +415,26 @@ def _exact_direction(ev: _StepEval, x, x1) -> np.ndarray:
 
 def _mega_direction(ev: _StepEval, draws: dict) -> np.ndarray:
     sample = draws["mega"]
-    gx = ev.op.batch_mean(ev.points["x"], sample)
-    gx1 = ev.op.batch_mean(ev.points["x1"], sample)
-    ev.calls += 2 * len(sample)
+    gx = ev.mean_at(ev.points["x"], sample)
+    gx1 = ev.mean_at(ev.points["x1"], sample)
     return 2.0 * gx - gx1
 
 
-def _apply_step(state: EstimatorState, x, x1, x2, draws: dict):
+def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
+                trials: Optional[int] = None):
     """Evaluate S_tilde at step state.k from materialized draws.
 
-    Mutates snapshot/table/recursion state; returns (value, calls).
+    Returns (value, calls).  With 1-D draws (`trials` None) this is one
+    step: it mutates snapshot/table/retained-value state.  With draws from
+    `_make_draws(..., trials=T)` it evaluates T independent outcomes of the
+    same step and returns a (T, dim) value: every batch is evaluated for all
+    trials in one oracle call, coin branches become per-trial selections,
+    and an exact evaluation (snapshot refresh, sarah reset) runs once for
+    all trials.  The trials' futures differ, so a batched step leaves the
+    snapshot and the saga table as they were.
     """
     kind, pm = state.kind, state.params
-    ev = _StepEval(state, x, x1, x2)
+    ev = _StepEval(state, x, x1, x2, trials)
 
     if kind == FULL:
         value = _exact_direction(ev, x, x1) if pm.retain_full else None
@@ -365,35 +449,41 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict):
         value = 2.0 * ev.bmean("x", "batch", idx) - ev.bmean("x1", "batch", idx)
 
     elif kind == SVRG:
-        if draws["coin"]:
-            _refresh_snapshot(ev, x1, draws)
-        value = _svrg_term(ev, "batch", draws["batch"])
+        refresh = _snapshot_coin(ev, x1, draws)
+        value = _svrg_term(ev, "batch", draws["batch"], refresh)
 
     elif kind == SAGA:
         idx = draws["batch"]
-        comp_x1 = ev.op.batch_components(x1, idx)
-        ev.calls += len(idx)
+        comp_x1 = ev.components(x1, idx)
         gx = ev.bmean("x", "batch", idx)
-        table_batch = state.table[idx].mean(axis=0)
-        value = state.table_mean - table_batch + 2.0 * gx - comp_x1.mean(axis=0)
-        uniq, first = np.unique(idx, return_index=True)
-        new_rows = comp_x1[first]
-        state.table_mean = state.table_mean \
-            + (new_rows - state.table[uniq]).sum(axis=0) / state.problem.n_components
-        state.table[uniq] = new_rows
-        state.steps_since_resync += 1
-        if state.steps_since_resync >= _SAGA_RESYNC_EVERY:
-            state.table_mean = state.table.mean(axis=0)
-            state.steps_since_resync = 0
+        table_batch = state.table[idx].mean(axis=-2)
+        value = state.table_mean - table_batch + 2.0 * gx - comp_x1.mean(axis=-2)
+        if trials is None:
+            uniq, first = np.unique(idx, return_index=True)
+            new_rows = comp_x1[first]
+            state.table_mean = state.table_mean \
+                + (new_rows - state.table[uniq]).sum(axis=0) / state.problem.n_components
+            state.table[uniq] = new_rows
+            state.steps_since_resync += 1
+            if state.steps_since_resync >= _SAGA_RESYNC_EVERY:
+                state.table_mean = state.table.mean(axis=0)
+                state.steps_since_resync = 0
 
     elif kind == SARAH:
-        if draws["coin"]:
-            if pm.mega_batch == "exact":
-                value = _exact_direction(ev, x, x1)
-            else:
-                value = _mega_direction(ev, draws)
+        coin = draws["coin"]
+        if trials is None:
+            some_reset, some_stay = coin, not coin
         else:
-            value = state.s_tilde + _sarah_increment(ev, draws["batch"])
+            some_reset, some_stay = coin.any(), not coin.all()
+        reset = stay = None
+        if some_reset:
+            if pm.mega_batch == "exact":
+                reset = _exact_direction(ev, x, x1)
+            else:
+                reset = _mega_direction(ev, draws)
+        if some_stay:
+            stay = state.s_tilde + _sarah_increment(ev, draws["batch"])
+        value = _select(coin, reset, stay)
 
     elif kind == HSGD:
         w = pm.omega
@@ -405,16 +495,18 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict):
 
     elif kind == HSVRG:
         w = pm.omega
-        if draws["coin"]:
-            _refresh_snapshot(ev, x1, draws)
+        refresh = _snapshot_coin(ev, x1, draws)
         rec = state.s_tilde + _sarah_increment(ev, draws["batch"])
         bl = "batch" if pm.share_batches else "batch_hat"
-        svrg_part = _svrg_term(ev, bl, draws["batch_hat"])
+        svrg_part = _svrg_term(ev, bl, draws["batch_hat"], refresh)
         value = (1.0 - w) * rec + w * svrg_part
 
     else:  # pragma: no cover
         raise ValueError(kind)
 
+    if trials is not None:
+        # full and all-reset sarah values are shared by every trial
+        value = np.broadcast_to(value, (trials, state.problem.dim))
     return value, ev.calls
 
 

@@ -7,8 +7,10 @@ differences.  This module realizes those conditional statements by freezing
 an estimator state and a short iterate history, then randomizing only the
 next step's draws:
 
-* Monte-Carlo mode clones the frozen state per trial with independent RNG
-  substreams and reports the margin in standard errors.
+* Monte-Carlo mode draws every trial's randomness from one stream per check
+  and evaluates the step for a chunk of trials at once (the production
+  step, batched along a leading trial axis), then reports the margin in
+  standard errors.
 * Enumeration mode (tiny instances: n <= 6 components, batches <= 2) sums
   over every batch/switch outcome and checks the identity exactly.
 
@@ -28,11 +30,14 @@ import numpy as np
 from .core import InclusionProblem
 from .estimators import (BIASED_KINDS, SAGA, SARAH, SGD, SVRG, FULL, HSGD,
                          HSVRG, UNBIASED_KINDS, EstimatorParams,
-                         EstimatorState, _apply_step, _sgd_batch_size,
-                         estimator_step, make_estimator, theory_card)
+                         EstimatorState, _apply_step, _make_draws,
+                         _sgd_batch_size, estimator_step, make_estimator,
+                         theory_card)
 
 DEFAULT_SIGMA_THRESHOLD = 4.0
 ENUM_TOL = 1e-12
+# Trials evaluated per batched step; bounds memory at any trial count.
+MC_CHUNK = 4096
 
 
 @dataclass
@@ -84,6 +89,13 @@ class FrozenHistory:
     @property
     def problem(self) -> InclusionProblem:
         return self.state.problem
+
+
+def _next_step(state: EstimatorState, rng=None) -> EstimatorState:
+    """Copy of a frozen state, positioned at the step under test."""
+    probe = state.clone(np.random.default_rng(0) if rng is None else rng)
+    probe.k += 1
+    return probe
 
 
 def _component_values(problem: InclusionProblem, x: np.ndarray) -> np.ndarray:
@@ -166,9 +178,7 @@ def build_history(kind: str, params: EstimatorParams,
 
     # realized slack delta_k for the step under test
     if kind == SGD:
-        probe = state.clone(np.random.default_rng(0))
-        probe.k += 1
-        b_k = _sgd_batch_size(probe, x_k, x_km1, x_km2)
+        b_k = _sgd_batch_size(_next_step(state), x_k, x_km1, x_km2)
         hist.delta_k = _direction_variance(problem, x_k, x_km1) / b_k
     elif kind == HSGD:
         sigma_k2 = _direction_variance(problem, x_k, x_km1) / b
@@ -185,68 +195,40 @@ def _enumeration_branches(history: FrozenHistory):
     """All (probability, draws) outcomes of the next step on tiny instances."""
     state, params = history.state, history.state.params
     kind = state.kind
-    op = state.problem.forward
-    n = op.n
+    n = state.problem.forward.n
     if n is None:
         raise ValueError("enumeration needs a finite-sum operator")
     if params.mega_batch != "exact" and kind in (SVRG, SARAH, HSVRG):
         raise ValueError("enumeration supports exact anchors only")
-
-    def batches(size):
-        prob = 1.0 / n ** size
-        for combo in itertools.product(range(n), repeat=size):
-            yield prob, np.array(combo, dtype=int)
-
     if kind == FULL:
         return [(1.0, {})]
+    size = int(params.b)
     if kind == SGD:
-        probe = state.clone(np.random.default_rng(0))
-        probe.k += 1
-        b_k = _sgd_batch_size(probe, history.x_k, history.x_km1, history.x_km2)
-        return [(pb, {"batch": idx}) for pb, idx in batches(b_k)]
-
-    b = int(params.b)
+        size = _sgd_batch_size(_next_step(state), history.x_k, history.x_km1,
+                               history.x_km2)
+    batches = [(1.0 / n ** size, np.array(combo, dtype=int))
+               for combo in itertools.product(range(n), repeat=size)]
+    coins = [(None, 1.0)]
+    if kind in (SVRG, SARAH, HSVRG):
+        p = params.p_switch
+        coins = [(c, pc) for c, pc in ((True, p), (False, 1.0 - p)) if pc > 0.0]
+    hybrid = kind in (HSGD, HSVRG)
     branches = []
-    if kind == SVRG:
-        p = params.p_switch
-        for coin, pc in ((True, p), (False, 1.0 - p)):
-            if pc == 0.0:
-                continue
-            for pb, idx in batches(b):
-                branches.append((pc * pb, {"coin": coin, "batch": idx}))
-        return branches
-    if kind == SAGA:
-        return [(pb, {"batch": idx}) for pb, idx in batches(b)]
-    if kind == SARAH:
-        p = params.p_switch
-        branches.append((p, {"coin": True}))
-        if p < 1.0:
-            for pb, idx in batches(b):
-                branches.append(((1.0 - p) * pb, {"coin": False, "batch": idx}))
-        return branches
-    if kind == HSGD:
-        if params.share_batches:
-            return [(pb, {"batch": idx, "batch_hat": idx})
-                    for pb, idx in batches(b)]
-        return [(pb * pb2, {"batch": idx, "batch_hat": idx2})
-                for pb, idx in batches(b) for pb2, idx2 in batches(b)]
-    if kind == HSVRG:
-        p = params.p_switch
-        for coin, pc in ((True, p), (False, 1.0 - p)):
-            if pc == 0.0:
-                continue
-            for pb, idx in batches(b):
-                if params.share_batches:
-                    branches.append((pc * pb,
-                                     {"coin": coin, "batch": idx,
-                                      "batch_hat": idx}))
-                else:
-                    for pb2, idx2 in batches(b):
-                        branches.append((pc * pb * pb2,
-                                         {"coin": coin, "batch": idx,
-                                          "batch_hat": idx2}))
-        return branches
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    for coin, pc in coins:
+        if kind == SARAH and coin:
+            branches.append((pc, {"coin": True}))
+            continue
+        for pb, idx in batches:
+            hats = batches if hybrid and not params.share_batches \
+                else [(1.0, idx)]
+            for ph, idx_hat in hats:
+                draws = {"batch": idx}
+                if coin is not None:
+                    draws["coin"] = coin
+                if hybrid:
+                    draws["batch_hat"] = idx_hat
+                branches.append((pc * pb * ph, draws))
+    return branches
 
 
 def enumerate_step_mean(history: FrozenHistory):
@@ -255,10 +237,8 @@ def enumerate_step_mean(history: FrozenHistory):
     mean = np.zeros(history.problem.dim)
     total = 0.0
     for prob, draws in branches:
-        clone = history.state.clone(np.random.default_rng(0))
-        clone.k += 1
-        value, _ = _apply_step(clone, history.x_k, history.x_km1,
-                               history.x_km2, draws)
+        value, _ = _apply_step(_next_step(history.state), history.x_k,
+                               history.x_km1, history.x_km2, draws)
         mean += prob * value
         total += prob
     if abs(total - 1.0) > 1e-12:
@@ -270,32 +250,83 @@ def enumerate_step_mean(history: FrozenHistory):
 # Monte-Carlo engine
 # ---------------------------------------------------------------------------
 
-def _mc_errors(history: FrozenHistory, trials: int, seed):
-    """Stream (e_k vector, ||e_k||^2) over cloned trials."""
-    s_true = _exact_direction_value(history.problem, history.x_k, history.x_km1)
-    base = np.random.SeedSequence([0xC0FFEE, seed])
-    streams = base.spawn(trials)
-    for t in range(trials):
-        clone = history.state.clone(np.random.default_rng(streams[t]))
-        value, _ = estimator_step(clone, history.x_k, history.x_km1,
-                                  history.x_km2)
-        err = value - s_true
-        yield err, float(np.dot(err, err))
+def _mc_error_chunks(history: FrozenHistory, trials: int, seed):
+    """Yield the errors e_k = S_tilde_k - S_k of `trials` independent draws
+    of the next step, MC_CHUNK trials at a time, as (chunk, dim) arrays.
+
+    One generator per check feeds every chunk's draws in the fixed order of
+    `_make_draws`; each chunk steps a fresh copy of the frozen state.
+    """
+    x, x1, x2 = history.x_k, history.x_km1, history.x_km2
+    s_true = _exact_direction_value(history.problem, x, x1)
+    rng = np.random.default_rng(np.random.SeedSequence([0xC0FFEE, seed]))
+    for start in range(0, trials, MC_CHUNK):
+        size = min(MC_CHUNK, trials - start)
+        state = _next_step(history.state, rng)
+        draws = _make_draws(state, x, x1, x2, trials=size)
+        values, _ = _apply_step(state, x, x1, x2, draws, trials=size)
+        yield values - s_true
 
 
-def _vector_report(name, trials, mean_vec, m2_vec, target, threshold):
-    """Aggregate a vector-mean check: ||mean - target|| vs combined SE."""
-    diff = mean_vec - target
-    if trials > 1:
-        se = math.sqrt(float(m2_vec.sum()) / (trials - 1) / trials)
-    else:
-        se = 0.0
-    dn = float(np.linalg.norm(diff))
+@dataclass
+class _Moments:
+    """Count, mean and sum of squared deviations (M2) of a sample stream,
+    merged chunk by chunk with Chan et al.'s pairwise update."""
+
+    count: int = 0
+    mean: object = 0.0
+    m2: object = 0.0
+
+    def add(self, chunk: np.ndarray) -> None:
+        size = len(chunk)
+        mean = chunk.mean(axis=0)
+        m2 = ((chunk - mean) ** 2).sum(axis=0)
+        total = self.count + size
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (size / total)
+        self.m2 = self.m2 + m2 + delta * delta * (self.count * size / total)
+        self.count = total
+
+
+def _mc_moments(history: FrozenHistory, trials: int, seed,
+                squared: bool = False) -> _Moments:
+    """Moments of the error vectors e_k, or of ||e_k||^2 when `squared`."""
+    moments = _Moments()
+    for err in _mc_error_chunks(history, trials, seed):
+        moments.add(np.einsum("ij,ij->i", err, err) if squared else err)
+    return moments
+
+
+def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
+                trials: int, seed, threshold: float, mode: str) -> McReport:
+    """Certify E[e_k | frozen past] = target.
+
+    mode="enumerate" sums all outcomes on tiny instances and requires the
+    mean error to match to 1e-12 (relative to the direction's size);
+    otherwise ||mean - target|| is compared with the combined standard
+    error of the Monte-Carlo mean.
+    """
+    if mode == "enumerate":
+        s_true = _exact_direction_value(history.problem, history.x_k,
+                                        history.x_km1)
+        mean, outcomes = enumerate_step_mean(history)
+        err = mean - s_true
+        tol = ENUM_TOL * (1.0 + float(np.linalg.norm(s_true)))
+        dn = float(np.linalg.norm(err - target))
+        return McReport(name=name, trials=outcomes, sample_mean=err,
+                        std_error=0.0, target=target,
+                        margin_sigmas=0.0 if dn <= tol else math.inf,
+                        passed=dn <= tol, threshold=threshold, exact=True)
+    mom = _mc_moments(history, trials, seed)
+    count = mom.count
+    se = math.sqrt(float(mom.m2.sum()) / (count - 1) / count) \
+        if count > 1 else 0.0
+    dn = float(np.linalg.norm(mom.mean - target))
     if se == 0.0:
         margin = 0.0 if dn == 0.0 else math.inf
     else:
         margin = dn / se
-    return McReport(name=name, trials=trials, sample_mean=mean_vec,
+    return McReport(name=name, trials=count, sample_mean=mom.mean,
                     std_error=se, target=target, margin_sigmas=margin,
                     passed=margin <= threshold, threshold=threshold)
 
@@ -311,26 +342,9 @@ def check_unbiased(history: FrozenHistory, trials: int = 100_000, seed: int = 0,
     kind = history.state.kind
     if kind not in UNBIASED_KINDS:
         raise ValueError(f"{kind} is not an unbiased estimator kind")
-    s_true = _exact_direction_value(history.problem, history.x_k, history.x_km1)
-    name = f"unbiased/{kind}"
-    if mode == "enumerate":
-        mean, outcomes = enumerate_step_mean(history)
-        err = mean - s_true
-        tol = ENUM_TOL * (1.0 + float(np.linalg.norm(s_true)))
-        dn = float(np.linalg.norm(err))
-        return McReport(name=name, trials=outcomes, sample_mean=err,
-                        std_error=0.0, target=np.zeros_like(err),
-                        margin_sigmas=0.0 if dn <= tol else math.inf,
-                        passed=dn <= tol, threshold=threshold, exact=True)
-    mean = np.zeros(history.problem.dim)
-    m2 = np.zeros(history.problem.dim)
-    count = 0
-    for err, _ in _mc_errors(history, trials, seed):
-        count += 1
-        delta = err - mean
-        mean += delta / count
-        m2 += delta * (err - mean)
-    return _vector_report(name, count, mean, m2, np.zeros_like(mean), threshold)
+    return _check_mean(history, f"unbiased/{kind}",
+                       np.zeros(history.problem.dim), trials, seed,
+                       threshold, mode)
 
 
 def check_bias_recursion(history: FrozenHistory, trials: int = 100_000,
@@ -345,28 +359,9 @@ def check_bias_recursion(history: FrozenHistory, trials: int = 100_000,
         raise ValueError("history does not carry e_{k-1}")
     card = theory_card(kind, history.state.params, history.problem.lipschitz,
                        n=getattr(history.problem.forward, "n", None))
-    target = (1.0 - card.tau) * history.e_prev
-    name = f"bias-recursion/{kind}"
-    if mode == "enumerate":
-        mean, outcomes = enumerate_step_mean(history)
-        s_true = _exact_direction_value(history.problem, history.x_k,
-                                        history.x_km1)
-        err = (mean - s_true) - target
-        tol = ENUM_TOL * (1.0 + float(np.linalg.norm(s_true)))
-        dn = float(np.linalg.norm(err))
-        return McReport(name=name, trials=outcomes, sample_mean=mean - s_true,
-                        std_error=0.0, target=target,
-                        margin_sigmas=0.0 if dn <= tol else math.inf,
-                        passed=dn <= tol, threshold=threshold, exact=True)
-    mean = np.zeros(history.problem.dim)
-    m2 = np.zeros(history.problem.dim)
-    count = 0
-    for err, _ in _mc_errors(history, trials, seed):
-        count += 1
-        delta = err - mean
-        mean += delta / count
-        m2 += delta * (err - mean)
-    return _vector_report(name, count, mean, m2, target, threshold)
+    return _check_mean(history, f"bias-recursion/{kind}",
+                       (1.0 - card.tau) * history.e_prev, trials, seed,
+                       threshold, mode)
 
 
 def check_variance_recursion(history: FrozenHistory, trials: int = 100_000,
@@ -390,15 +385,9 @@ def check_variance_recursion(history: FrozenHistory, trials: int = 100_000,
         + card.theta * float(np.dot(dx, dx)) \
         + card.theta_hat * float(np.dot(dxp, dxp)) \
         + history.delta_k
-    mean = 0.0
-    m2 = 0.0
-    count = 0
-    for _, sq in _mc_errors(history, trials, seed):
-        count += 1
-        delta = sq - mean
-        mean += delta / count
-        m2 += delta * (sq - mean)
-    se = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    mom = _mc_moments(history, trials, seed, squared=True)
+    count, mean = mom.count, float(mom.mean)
+    se = math.sqrt(float(mom.m2) / (count - 1) / count) if count > 1 else 0.0
     if se == 0.0:
         margin = -math.inf if mean <= rhs else math.inf
     else:

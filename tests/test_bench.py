@@ -50,6 +50,46 @@ def test_eta_parsing():
         resolve_eta("5L", 1.0, False)
 
 
+@pytest.mark.parametrize("spec", [True, False, float("nan"), float("inf"),
+                                  float("-inf"), "1/0L"])
+def test_eta_rejects_non_finite_and_bool(spec):
+    with pytest.raises(ConfigError):
+        resolve_eta(spec, 1.0, False)
+
+
+def test_cli_nan_eta_is_a_config_error(tmp_path):
+    cfg = toy_config()
+    cfg["algorithms"][1]["eta"] = float("nan")
+    cfg_path = tmp_path / "nan.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("record_every_epochs", 0), ("record_every_epochs", -1.0),
+    ("record_every_epochs", float("nan")), ("record_every_epochs", float("inf")),
+    ("epochs", float("nan")), ("epochs", float("inf")),
+])
+def test_run_block_rejects_bad_lengths(key, value):
+    bad = toy_config()
+    bad["run"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("field", ["experiment_id", "name"])
+@pytest.mark.parametrize("char", [",", '"', "\n", "\r"])
+def test_csv_separators_in_ids_rejected(field, char):
+    bad = toy_config()
+    if field == "experiment_id":
+        bad["experiment_id"] = f"a{char}b"
+    else:
+        bad["algorithms"][1]["name"] = f"svrg{char}x"
+    with pytest.raises(ConfigError, match="comma"):
+        ExperimentConfig.from_dict(bad)
+
+
 def test_run_experiment_outputs(tmp_path):
     rows_info = run_experiment(toy_config(), tmp_path)
     assert (tmp_path / "runs.csv").exists()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from vrfrbs.estimators import EstimatorParams
+from vrfrbs.estimators import (KINDS, EstimatorParams, _apply_step,
+                               _make_draws, default_params)
 from vrfrbs.problems import linear_toy
-from vrfrbs.verification import (McReport, build_history,
+from vrfrbs.verification import (MC_CHUNK, McReport, _mc_error_chunks,
+                                 _mc_moments, _next_step, build_history,
                                  check_bias_recursion, check_unbiased,
                                  check_variance_recursion,
                                  enumerate_step_mean, write_reports)
@@ -171,3 +173,53 @@ def test_every_kind_passes_defining_check_at_default_params():
         assert rep.passed, rep.to_line()
         var_rep = check_variance_recursion(hist, trials=30_000, seed=10)
         assert var_rep.passed, var_rep.to_line()
+
+
+BATCHED_CASES = [(kind, default_params(kind, n=10, profile="experiment"))
+                 for kind in KINDS] + [
+    ("hsgd", EstimatorParams(b=3, omega=0.5, share_batches=False)),
+    ("hsvrg", EstimatorParams(b=3, p_switch=0.4, omega=0.5,
+                              share_batches=False)),
+    ("svrg", EstimatorParams(b=3, p_switch=0.4, mega_batch=5)),
+    ("sarah", EstimatorParams(b=3, p_switch=0.4, mega_batch=5)),
+    ("sgd", EstimatorParams(b_schedule=lambda k: k + 1)),
+]
+
+
+@pytest.mark.parametrize("kind,params", BATCHED_CASES,
+                         ids=[f"{k}-{i}" for i, (k, _) in
+                              enumerate(BATCHED_CASES)])
+def test_batched_step_matches_scalar_step(kind, params):
+    """The trial-batched step equals the one-step path, trial by trial, on
+    a fresh copy of the frozen state with that trial's draws."""
+    hist = history_for(kind, params)
+    points = (hist.x_k, hist.x_km1, hist.x_km2)
+    trials = 200
+    state = _next_step(hist.state, np.random.default_rng(5))
+    draws = _make_draws(state, *points, trials=trials)
+    values, _ = _apply_step(state, *points, draws, trials=trials)
+    assert values.shape == (trials, hist.problem.dim)
+    if "coin" in draws:
+        assert 0 < draws["coin"].sum() < trials  # both branches exercised
+    for t in range(trials):
+        one = {key: bool(d[t]) if key == "coin" else d[t]
+               for key, d in draws.items()}
+        value, _ = _apply_step(_next_step(hist.state), *points, one)
+        assert np.linalg.norm(values[t] - value) \
+            <= 1e-12 * np.linalg.norm(value), (kind, t)
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_chunked_moments_match_one_shot(squared):
+    hist = history_for("svrg", EstimatorParams(b=3, p_switch=0.4))
+    trials = 2 * MC_CHUNK + 123
+    errs = np.concatenate(list(_mc_error_chunks(hist, trials, seed=4)))
+    assert errs.shape == (trials, hist.problem.dim)
+    samples = np.einsum("ij,ij->i", errs, errs) if squared else errs
+    mom = _mc_moments(hist, trials, seed=4, squared=squared)
+    assert mom.count == trials
+    scale = np.abs(samples).max()
+    np.testing.assert_allclose(mom.mean, samples.mean(axis=0), rtol=1e-12,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(mom.m2 / (trials - 1),
+                               samples.var(axis=0, ddof=1), rtol=1e-12)
