@@ -45,11 +45,10 @@ def main(argv=None):
     parser.add_argument("--epochs", type=int, default=1000)
     parser.add_argument("--seeds", type=int, nargs="+",
                         default=[0, 1, 2, 3, 4])
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     n, d = (50_000, 250) if args.full else (5_000, 50)
     config = build_config(n, d, args.epochs, args.seeds)
-    cells = run_experiment(config, args.out, jobs=args.jobs)
+    cells = run_experiment(config, args.out)
     for cell in cells:
         print(f"{cell['algorithm']:6s} seed={cell['seed']} "
               f"final_rel={cell['final_rel_residual']:.3e}")

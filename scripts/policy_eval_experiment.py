@@ -47,7 +47,6 @@ def main(argv=None):
     parser.add_argument("--epochs", type=int, default=5000)
     parser.add_argument("--seeds", type=int, nargs="+",
                         default=[0, 1, 2, 3, 4])
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     if args.full:
         states, actions, transitions, features = 1000, 20, 20_000, 201
@@ -55,7 +54,7 @@ def main(argv=None):
         states, actions, transitions, features = 100, 10, 2_000, 21
     config = build_config(states, actions, transitions, features,
                           args.epochs, args.seeds)
-    cells = run_experiment(config, args.out, jobs=args.jobs)
+    cells = run_experiment(config, args.out)
     for cell in cells:
         print(f"{cell['algorithm']:6s} seed={cell['seed']} "
               f"final_rel={cell['final_rel_residual']:.3e}")

@@ -5,11 +5,10 @@ verification suite for the estimator contracts."""
 __version__ = "0.1.0"
 
 from .core import (CallCounter, FiniteSumOperator, InclusionProblem,
-                   InfeasibleParametersError, Resolvent, StochasticOracle,
-                   UnsupportedConfigError, apply_resolvent,
-                   ball_box_resolvent, custom_resolvent, eval_batch,
-                   eval_full, fb_residual, identity_resolvent,
-                   soft_threshold_resolvent)
+                   InfeasibleParametersError, Resolvent, RowOperator,
+                   StochasticOracle, UnsupportedConfigError, apply_resolvent,
+                   ball_box_resolvent, custom_resolvent, eval_full,
+                   fb_residual, identity_resolvent, soft_threshold_resolvent)
 from .estimators import (BIASED_KINDS, KINDS, UNBIASED_KINDS, EstimatorParams,
                          EstimatorState, TheoryCard, default_params,
                          estimator_step, increasing_batch_schedule,
@@ -19,11 +18,11 @@ from .solver import (DivergenceError, RunTrace, SolverConfig, best_iterate,
 
 __all__ = [
     "__version__",
-    "CallCounter", "FiniteSumOperator", "StochasticOracle",
+    "CallCounter", "FiniteSumOperator", "RowOperator", "StochasticOracle",
     "InclusionProblem", "Resolvent", "UnsupportedConfigError",
     "InfeasibleParametersError", "apply_resolvent", "ball_box_resolvent",
     "custom_resolvent", "identity_resolvent", "soft_threshold_resolvent",
-    "eval_full", "eval_batch", "fb_residual",
+    "eval_full", "fb_residual",
     "KINDS", "UNBIASED_KINDS", "BIASED_KINDS", "EstimatorParams",
     "EstimatorState", "TheoryCard", "make_estimator", "estimator_step",
     "theory_card", "default_params", "sizing_rule_sides",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
@@ -38,7 +37,8 @@ from .estimators import (BIASED_KINDS, KINDS, EstimatorParams,
 from .problems import (build_auc_problem, build_pe_problem, gen_auc_dataset,
                        gen_random_mdp, sample_transitions,
                        strongly_monotone_affine, uniform_features)
-from .solver import SolverConfig, run, theory_stepsize, validate_rates
+from .solver import (DivergenceError, SolverConfig, run, theory_stepsize,
+                     validate_rates)
 
 
 class ConfigError(ValueError):
@@ -272,7 +272,16 @@ def _run_cell(config: ExperimentConfig, alg: AlgorithmSpec,
         record_every=config.max_iters + 1,
         record_calls=config.record_every_epochs * n,
         max_calls=budget)
-    trace = run(problem, est, solver_cfg)
+    diverged = None
+    try:
+        trace = run(problem, est, solver_cfg)
+    except DivergenceError as exc:
+        # keep the finite part of the trace; the cell is marked, not lost
+        trace = exc.trace
+        last = trace.records[-1]
+        diverged = {"iteration": trace.iterations_run + 1,
+                    "last_finite_iteration": last.iteration,
+                    "last_finite_rel_residual": last.rel_residual}
     rows = [(rec.oracle_calls / n, rec.iteration, rec.rel_residual,
              rec.abs_residual, rec.wall_ms if config.timing == "wall" else 0.0)
             for rec in trace.records]
@@ -295,6 +304,8 @@ def _run_cell(config: ExperimentConfig, alg: AlgorithmSpec,
         # to the exact counters, for cost-model comparisons
         p = params.p_switch
         resolution["nominal_cost_per_iter"] = n * p + 2.0 * (1.0 - p) * params.b
+    if diverged is not None:
+        resolution["diverged"] = diverged
     return CellResult(alg.name, seed, rows, resolution)
 
 
@@ -326,34 +337,45 @@ def _interp_log_series(epochs, rels, grid):
     return out
 
 
+def _log_residual_curves(points, grid):
+    """Per algorithm, every seed's log10 residual curve on grid.
+
+    points holds (algorithm, seed, epoch, rel_residual) tuples.  Yields
+    (algorithm, stack, valid) in algorithm order, where stack has one row
+    per seed in seed order and valid marks the grid points inside every
+    seed's span.
+    """
+    series = {}
+    for alg, seed, epoch, rel in points:
+        series.setdefault(alg, {}).setdefault(seed, []).append((epoch, rel))
+    for alg in sorted(series):
+        stack = np.vstack([_interp_log_series(*zip(*sorted(pts)), grid)
+                           for _, pts in sorted(series[alg].items())])
+        yield alg, stack, ~np.isnan(stack).any(axis=0)
+
+
 def _write_summary_csv(path: Path, experiment_id: str,
                        cells: List[CellResult], epochs_budget: float) -> None:
     grid = np.arange(0.0, math.floor(epochs_budget) + 1.0)
-    by_alg = {}
-    for cell in cells:
-        by_alg.setdefault(cell.algorithm, []).append(cell)
+    points = [(cell.algorithm, cell.seed, r[0], r[2])
+              for cell in cells for r in cell.rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("experiment_id,algorithm,epoch,mean_rel_residual\n")
-        for alg in sorted(by_alg):
-            series = []
-            for cell in sorted(by_alg[alg], key=lambda c: c.seed):
-                ep = [r[0] for r in cell.rows]
-                rel = [r[2] for r in cell.rows]
-                series.append(_interp_log_series(ep, rel, grid))
-            stack = np.vstack(series)
-            valid = ~np.isnan(stack).any(axis=0)
+        for alg, stack, valid in _log_residual_curves(points, grid):
             means = np.power(10.0, stack).mean(axis=0)
             for g, m, ok in zip(grid, means, valid):
                 if ok:
                     fh.write(f"{experiment_id},{alg},{_fmt(g)},{_fmt(m)}\n")
 
 
-def run_experiment(config, out_dir, jobs: int = 1):
+def run_experiment(config, out_dir):
     """Execute the experiment matrix and write runs.csv, summary.csv, and
     manifest.json into out_dir.  Returns the list of per-cell resolutions.
 
-    Cells are independent; with jobs > 1 they execute on a thread pool, and
-    output ordering stays deterministic (sorted by algorithm, seed).
+    A cell that diverges keeps the rows recorded before its divergence and
+    is marked "diverged" in the manifest; the other cells run as usual.
+    After all outputs are written, DivergenceError is raised if any cell
+    diverged.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
@@ -366,13 +388,8 @@ def run_experiment(config, out_dir, jobs: int = 1):
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
 
-    tasks = [(alg, seed) for alg in config.algorithms for seed in config.seeds]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(
-                lambda t: _run_cell(config, t[0], t[1]), tasks))
-    else:
-        cells = [_run_cell(config, alg, seed) for alg, seed in tasks]
+    cells = [_run_cell(config, alg, seed)
+             for alg in config.algorithms for seed in config.seeds]
 
     _write_runs_csv(out / "runs.csv", config.experiment_id, cells)
     _write_summary_csv(out / "summary.csv", config.experiment_id, cells,
@@ -397,6 +414,12 @@ def run_experiment(config, out_dir, jobs: int = 1):
     with open(out / "manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    diverged = [f"{c.algorithm} seed {c.seed} at iteration "
+                f"{c.resolution['diverged']['iteration']}"
+                for c in cells if "diverged" in c.resolution]
+    if diverged:
+        raise DivergenceError(f"{len(diverged)} cell(s) diverged ("
+                              + "; ".join(diverged) + "); outputs written")
     return [c.resolution for c in cells]
 
 
@@ -440,25 +463,12 @@ def summarize(run_dir, out_path=None):
     """
     run_dir = Path(run_dir)
     rows = read_runs_csv(run_dir / "runs.csv")
-    series = {}
-    for row in rows:
-        key = (row["algorithm"], row["seed"])
-        series.setdefault(key, []).append((row["epoch"], row["rel_residual"]))
-    by_alg = {}
-    for (alg, _seed), pts in series.items():
-        pts.sort()
-        by_alg.setdefault(alg, []).append(pts)
+    points = [(r["algorithm"], r["seed"], r["epoch"], r["rel_residual"])
+              for r in rows]
     max_epoch = max(row["epoch"] for row in rows)
     grid = np.arange(0.0, math.floor(max_epoch) + 1.0)
     out_rows = []
-    for alg in sorted(by_alg):
-        curves = []
-        for pts in by_alg[alg]:
-            ep = [p[0] for p in pts]
-            rel = [p[1] for p in pts]
-            curves.append(_interp_log_series(ep, rel, grid))
-        stack = np.vstack(curves)
-        valid = ~np.isnan(stack).any(axis=0)
+    for alg, stack, valid in _log_residual_curves(points, grid):
         for j, g in enumerate(grid):
             if valid[j]:
                 col = stack[:, j]

@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        run_experiment(raw, args.out, jobs=args.jobs)
+        run_experiment(raw, args.out)
     except (ConfigError, InfeasibleParametersError, UnsupportedConfigError,
             ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment matrix")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_sum = sub.add_parser("summarize", help="aggregate a run directory")

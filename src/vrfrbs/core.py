@@ -12,7 +12,7 @@ between concurrent runs; evaluation counters are owned by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,8 +55,6 @@ class FiniteSumOperator:
         dim: dimension of the variable (and of every component value).
         batch_components: (x, idx) -> (len(idx), dim) array of G_i(x) for
             i in idx (duplicates allowed, order preserved).
-        batch_mean_fused: optional (x, idx) -> (dim,) computing the mean of
-            the batch without materializing per-component rows.
         full_eval: optional closed form for the exact mean (affine fast
             path).  Epoch accounting still charges n per full evaluation.
         lipschitz: optional bound L with
@@ -66,7 +64,6 @@ class FiniteSumOperator:
     n: int
     dim: int
     batch_components: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    batch_mean_fused: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     full_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lipschitz: Optional[float] = None
 
@@ -75,14 +72,85 @@ class FiniteSumOperator:
         return rng.integers(0, self.n, size=size)
 
     def batch_mean(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if self.batch_mean_fused is not None:
-            return self.batch_mean_fused(x, idx)
         return self.batch_components(x, idx).mean(axis=0)
 
     def full(self, x: np.ndarray) -> np.ndarray:
         if self.full_eval is not None:
             return self.full_eval(x)
         return self.batch_mean(x, np.arange(self.n))
+
+
+@dataclass(frozen=True)
+class RowOperator:
+    """Finite sum whose components are data rows scaled by coefficients.
+
+    G_i(x) = common(x) + sum_k coef_k(x, i) * R_k[i], where block k writes
+    row i of its (n, width) data block R_k, scaled by a scalar coefficient,
+    into out[slot_k].  A block without rows (R_k = None) writes the
+    coefficient itself into the single coordinate slot_k.  Blocks may share
+    slots; their contributions add.
+
+    Args:
+        n: number of components.
+        dim: dimension of the variable.
+        blocks: (slot, rows) pairs; slot is a slice, or an int for a block
+            without rows.
+        coefficients: (x, rows, sel) -> one length-m coefficient vector per
+            block, where rows holds each block's selected rows (None for a
+            block without rows) and sel is the index array or slice that
+            selected them, for per-sample data such as labels.
+        full_eval: closed form for the exact mean.  Epoch accounting still
+            charges n per full evaluation.
+        common: optional term shared by every component.
+        lipschitz: optional average-Lipschitz bound, as for
+            FiniteSumOperator.
+    """
+
+    n: int
+    dim: int
+    blocks: Tuple[Tuple[Union[slice, int], Optional[np.ndarray]], ...]
+    coefficients: Callable[..., Tuple[np.ndarray, ...]]
+    full_eval: Callable[[np.ndarray], np.ndarray]
+    common: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    lipschitz: Optional[float] = None
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """I.i.d. uniform component indices, sampled with replacement."""
+        return rng.integers(0, self.n, size=size)
+
+    def _select(self, x, sel):
+        rows = tuple(None if R is None else R[sel] for _, R in self.blocks)
+        return rows, self.coefficients(x, rows, sel)
+
+    def batch_components(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        rows, coefs = self._select(x, idx)
+        out = np.zeros((len(idx), self.dim))
+        if self.common is not None:
+            out += self.common(x)
+        for (slot, _), R, c in zip(self.blocks, rows, coefs):
+            out[:, slot] += c if R is None else c[:, None] * R
+        return out
+
+    def batch_mean(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        m = len(idx)
+        if m < self.n // 4:
+            # small batches: gathered rows, one matrix-vector product each
+            rows, coefs = self._select(x, idx)
+        else:
+            # large batches: every row weighted by its multiplicity, which
+            # reads the blocks sequentially instead of gathering rows
+            counts = np.bincount(idx, minlength=self.n).astype(float)
+            rows, coefs = self._select(x, slice(None))
+            coefs = tuple(counts * c for c in coefs)
+        out = np.zeros(self.dim)
+        if self.common is not None:
+            out += self.common(x)
+        for (slot, _), R, c in zip(self.blocks, rows, coefs):
+            out[slot] += (c.sum() if R is None else R.T @ c) / m
+        return out
+
+    def full(self, x: np.ndarray) -> np.ndarray:
+        return self.full_eval(x)
 
 
 @dataclass(frozen=True)
@@ -119,7 +187,7 @@ class StochasticOracle:
         return self.exact_mean(x)
 
 
-ForwardOperator = Union[FiniteSumOperator, StochasticOracle]
+ForwardOperator = Union[FiniteSumOperator, RowOperator, StochasticOracle]
 
 
 def eval_full(op: ForwardOperator, x: np.ndarray,
@@ -137,25 +205,6 @@ def eval_full(op: ForwardOperator, x: np.ndarray,
     if charge and getattr(op, "n", None) is not None:
         _charge(counter, op.n)
     return value
-
-
-def eval_batch(op: ForwardOperator, batch: np.ndarray, x: np.ndarray,
-               counter: Optional[CallCounter] = None) -> np.ndarray:
-    """Mini-batch mean (1/|batch|) sum_{i in batch} G_i(x); duplicates count.
-
-    Charges |batch| component evaluations.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (op.dim,):
-        raise ValueError(f"dimension mismatch: expected ({op.dim},), got {x.shape}")
-    batch = np.asarray(batch)
-    if batch.size == 0:
-        raise ValueError("batch must be nonempty")
-    if getattr(op, "n", None) is not None:
-        if batch.min() < 0 or batch.max() >= op.n:
-            raise ValueError("batch index out of range")
-    _charge(counter, len(batch))
-    return op.batch_mean(x, batch)
 
 
 # ---------------------------------------------------------------------------

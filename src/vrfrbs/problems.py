@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import (FiniteSumOperator, InclusionProblem, Resolvent,
-                   ball_box_resolvent, identity_resolvent,
+                   RowOperator, ball_box_resolvent, identity_resolvent,
                    soft_threshold_resolvent)
 
 
@@ -194,10 +194,10 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
     q = np.zeros(dim)
     q[:d] = scale * (mu_m - mu_p)
 
-    pos_all = pos
-
-    def _slot_values(z, pos_i, s):
-        """Per-sample row coefficients given labels and scores s = X w."""
+    def coefficients(z, rows, sel):
+        """Per-sample coefficients of the feature row and the three scalar
+        slots, given labels and scores s = X w."""
+        pos_i, s = pos[sel], rows[0] @ z[:d]
         a, bb, al = z[d], z[d + 1], z[d + 2]
         cw = np.where(pos_i,
                       2.0 * (1 - p) * (s - a) - 2.0 * (1 + al) * (1 - p),
@@ -208,39 +208,10 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
             + 2.0 * p * (1 - p) * al
         return cw, ga, gb, gal
 
-    def batch_components(z, idx):
-        Xi = X[idx]
-        s = Xi @ z[:d]
-        cw, ga, gb, gal = _slot_values(z, y[idx] > 0, s)
-        out = np.empty((len(idx), dim))
-        out[:, :d] = cw[:, None] * Xi
-        out[:, d] = ga
-        out[:, d + 1] = gb
-        out[:, d + 2] = gal
-        return out
-
-    def batch_mean_fused(z, idx):
-        m = len(idx)
-        if m < n // 4:
-            return batch_components(z, idx).mean(axis=0)
-        # large batches: multiplicity weights + dense products instead of
-        # row gathers
-        counts = np.bincount(idx, minlength=n).astype(float)
-        s = X @ z[:d]
-        cw, ga, gb, gal = _slot_values(z, pos_all, s)
-        out = np.empty(dim)
-        out[:d] = X.T @ (counts * cw) / m
-        out[d] = counts @ ga / m
-        out[d + 1] = counts @ gb / m
-        out[d + 2] = counts @ gal / m
-        return out
-
-    def full_eval(z):
-        return Q @ z + q
-
-    op = FiniteSumOperator(n=n, dim=dim, batch_components=batch_components,
-                           batch_mean_fused=batch_mean_fused,
-                           full_eval=full_eval)
+    op = RowOperator(n=n, dim=dim,
+                     blocks=((slice(0, d), X), (d, None), (d + 1, None),
+                             (d + 2, None)),
+                     coefficients=coefficients, full_eval=lambda z: Q @ z + q)
     L = spectral_norm(Q, tol=1e-12)
     R = 100.0 if radius is None else float(radius)
     kappa = dataset.kappa_feat
@@ -405,36 +376,15 @@ def build_pe_problem(transitions: Transitions, gamma: float,
     g_vec = np.zeros(dim)
     g_vec[d:] = -b_hat
 
-    def batch_components(x, idx):
-        theta, w = x[:d], x[d:]
-        ph = phi[idx]
-        ps = psi[idx]
-        s_pw = ph @ w          # phi_t . w
-        s_pt = ps @ theta      # psi_t . theta
-        out = np.empty((len(idx), dim))
-        out[:, :d] = -ps * s_pw[:, None]
-        out[:, d:] = ph * (s_pt + s_pw - r[idx])[:, None]
-        return out
+    def coefficients(x, rows, sel):
+        ps, ph = rows
+        s_pw = ph @ x[d:]      # phi_t . w
+        return -s_pw, ps @ x[:d] + s_pw - r[sel]
 
-    def batch_mean_fused(x, idx):
-        m = len(idx)
-        if m < n // 4:
-            return batch_components(x, idx).mean(axis=0)
-        theta, w = x[:d], x[d:]
-        counts = np.bincount(idx, minlength=n).astype(float)
-        s_pw = phi @ w
-        s_pt = psi @ theta
-        out = np.empty(dim)
-        out[:d] = -(psi.T @ (counts * s_pw)) / m
-        out[d:] = (phi.T @ (counts * (s_pt + s_pw - r))) / m
-        return out
-
-    def full_eval(x):
-        return G_mat @ x + g_vec
-
-    op = FiniteSumOperator(n=n, dim=dim, batch_components=batch_components,
-                           batch_mean_fused=batch_mean_fused,
-                           full_eval=full_eval)
+    op = RowOperator(n=n, dim=dim,
+                     blocks=((slice(0, d), psi), (slice(d, dim), phi)),
+                     coefficients=coefficients,
+                     full_eval=lambda x: G_mat @ x + g_vec)
     L = spectral_norm(G_mat, tol=1e-12)
     resolvent = soft_threshold_resolvent(tau_reg, d) if tau_reg > 0 \
         else identity_resolvent()
@@ -529,29 +479,14 @@ def strongly_monotone_affine(dim: int, n_components: int, seed,
     L = math.sqrt(float(np.linalg.eigvalsh(gram).max()))
     solution = np.linalg.solve(M_mean, -c_mean)
 
-    def batch_components(x, idx):
-        Ui = U[idx]
-        s = Ui @ x
-        return (mu * x)[None, :] + s[:, None] * Ui + c[idx]
+    def coefficients(x, rows, sel):
+        # slope rows scaled by u_i . x, offset rows by one
+        return rows[0] @ x, np.ones(len(rows[1]))
 
-    def batch_mean_fused(x, idx):
-        m = len(idx)
-        if m >= n // 4:
-            # large batches: multiplicity-weighted dense products beat
-            # row gathers (sequential instead of random memory access)
-            counts = np.bincount(idx, minlength=n).astype(float)
-            weights = counts * (U @ x)
-            return mu * x + (U.T @ weights) / m + (counts @ c) / m
-        Ui = U[idx]
-        s = Ui @ x
-        return mu * x + (Ui.T @ s) / m + c[idx].mean(axis=0)
-
-    def full_eval(x):
-        return M_mean @ x + c_mean
-
-    op = FiniteSumOperator(n=n, dim=d, batch_components=batch_components,
-                           batch_mean_fused=batch_mean_fused,
-                           full_eval=full_eval, lipschitz=L)
+    op = RowOperator(n=n, dim=d, blocks=((slice(0, d), U), (slice(0, d), c)),
+                     coefficients=coefficients,
+                     full_eval=lambda x: M_mean @ x + c_mean,
+                     common=lambda x: mu * x, lipschitz=L)
     return InclusionProblem(forward=op, resolvent=identity_resolvent(),
                             lipschitz=L, known_solution=solution)
 

@@ -306,7 +306,7 @@ def test_infrastructure_reproducibility(tmp_path):
     }
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     run_experiment(config, out1)
-    run_experiment(config, out2, jobs=2)
+    run_experiment(config, out2)
     byte_ok = all((out1 / f).read_bytes() == (out2 / f).read_bytes()
                   for f in ("runs.csv", "summary.csv", "manifest.json"))
 

@@ -120,7 +120,7 @@ def test_full_batch_residual_decreasing_on_toy(tmp_path):
 def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_experiment(toy_config(), out1)
-    run_experiment(toy_config(), out2, jobs=3)
+    run_experiment(toy_config(), out2)
     for name in ("runs.csv", "summary.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
@@ -239,6 +239,30 @@ def test_cli_divergence_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert cli_main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 3
+
+
+def test_diverged_cell_keeps_finished_cells(tmp_path):
+    cfg = toy_config()
+    cfg["algorithms"][1]["eta"] = 100.0
+    cfg_path = tmp_path / "div.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+    rows = read_runs_csv(out / "runs.csv")
+    assert {r["seed"] for r in rows if r["algorithm"] == "full"} == {0, 1}
+    assert max(r["epoch"] for r in rows if r["algorithm"] == "full") >= 10.0
+    assert (out / "summary.csv").read_text().count("\n") > 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    for cell in manifest["cells"]:
+        if cell["algorithm"] == "full":
+            assert "diverged" not in cell
+            continue
+        mark = cell["diverged"]
+        assert mark["iteration"] == cell["iterations"] + 1
+        kept = [r for r in rows
+                if r["algorithm"] == "svrg" and r["seed"] == cell["seed"]]
+        assert mark["last_finite_iteration"] == kept[-1]["iter"]
+        assert mark["last_finite_rel_residual"] == kept[-1]["rel_residual"]
 
 
 def test_cli_verify_smoke(capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrfrbs.core import (CallCounter, apply_resolvent,
-                         ball_box_resolvent, eval_batch, eval_full,
+                         ball_box_resolvent, eval_full,
                          fb_residual, identity_resolvent,
                          soft_threshold_resolvent)
 from vrfrbs.problems import (affine_problem_from_components, linear_toy,
@@ -47,7 +47,7 @@ def test_eval_batch_full_set_matches_full():
     prob = linear_toy(n=7, dim=3, seed=5)
     x = np.array([0.3, -1.0, 2.0])
     full = eval_full(prob.forward, x)
-    batch = eval_batch(prob.forward, np.arange(7), x)
+    batch = prob.forward.batch_mean(x, np.arange(7))
     assert np.linalg.norm(full - batch) <= 1e-10 * (1 + np.linalg.norm(full))
 
 
@@ -55,7 +55,7 @@ def test_eval_batch_duplicates():
     prob = linear_toy(n=5, dim=2, seed=2)
     x = np.array([1.0, -2.0])
     gi = prob.forward.batch_components(x, np.array([3]))[0]
-    assert eval_batch(prob.forward, np.array([3, 3]), x) == pytest.approx(gi)
+    assert prob.forward.batch_mean(x, np.array([3, 3])) == pytest.approx(gi)
 
 
 def test_eval_batch_hand_mean():
@@ -65,21 +65,8 @@ def test_eval_batch_hand_mean():
     op = affine_problem_from_components(B, c).forward
     x = np.array([2.0, 1.0])
     expected = 0.5 * ((x + c[0]) + (B[2] @ x + c[2]))
-    counter = CallCounter()
-    got = eval_batch(op, np.array([0, 2]), x, counter=counter)
-    assert got == pytest.approx(expected)
-    assert counter.count == 2
+    assert op.batch_mean(x, np.array([0, 2])) == pytest.approx(expected)
 
-
-def test_eval_batch_rejects_bad_input():
-    op = two_component_op()
-    with pytest.raises(ValueError):
-        eval_batch(op, np.array([], dtype=int), np.array([1.0]))
-    with pytest.raises(ValueError, match="out of range"):
-        eval_batch(op, np.array([5]), np.array([1.0]))
-
-
-# --- resolvents -----------------------------------------------------------
 
 def test_ball_projection_radial_scaling():
     res = ball_box_resolvent(5.0, [1.0])

@@ -175,31 +175,6 @@ def test_auc_symmetric_part_psd():
         assert np.linalg.eigvalsh(sym).min() >= -1e-8
 
 
-def test_auc_fused_batch_mean_matches_gather():
-    ds = gen_auc_dataset(40, 5, 0.2, 0.3, seed=6)
-    op = build_auc_problem(ds).inclusion.forward
-    rng = np.random.default_rng(8)
-    z = rng.standard_normal(8)
-    for m in (3, 15, 40, 60):  # below and above the bincount threshold
-        idx = rng.integers(0, 40, size=m)
-        fused = op.batch_mean(z, idx)
-        direct = op.batch_components(z, idx).mean(axis=0)
-        assert np.allclose(fused, direct, atol=1e-12), m
-
-
-def test_pe_fused_batch_mean_matches_gather():
-    mdp = gen_random_mdp(10, 2, seed=5)
-    trans = sample_transitions(mdp, 30, uniform_features(10, 4, seed=6), seed=7)
-    op = build_pe_problem(trans, gamma=0.9, tau_reg=0.0).inclusion.forward
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal(8)
-    for m in (2, 10, 30, 45):
-        idx = rng.integers(0, 30, size=m)
-        fused = op.batch_mean(x, idx)
-        direct = op.batch_components(x, idx).mean(axis=0)
-        assert np.allclose(fused, direct, atol=1e-12), m
-
-
 def test_auc_single_class_rejected():
     X = np.ones((3, 2))
     y = np.ones(3)
@@ -397,14 +372,35 @@ def test_strongly_monotone_solution_and_lipschitz():
         assert avg <= (1 + 1e-6) * L2 * np.dot(x - y_, x - y_)
 
 
-def test_strongly_monotone_fused_batch_mean():
-    prob = strongly_monotone_affine(dim=8, n_components=30, seed=3)
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(8)
-    idx = rng.integers(0, 30, size=12)
-    fused = prob.forward.batch_mean(x, idx)
-    direct = prob.forward.batch_components(x, idx).mean(axis=0)
-    assert np.allclose(fused, direct, atol=1e-12)
+# --- shared row operator ----------------------------------------------------
+
+def _row_operator(family):
+    if family == "auc":
+        ds = gen_auc_dataset(40, 5, 0.2, 0.3, seed=6)
+        return build_auc_problem(ds).inclusion.forward
+    if family == "pe":
+        mdp = gen_random_mdp(10, 2, seed=5)
+        trans = sample_transitions(mdp, 30, uniform_features(10, 4, seed=6),
+                                   seed=7)
+        return build_pe_problem(trans, gamma=0.9, tau_reg=0.0).inclusion.forward
+    return strongly_monotone_affine(dim=8, n_components=30, seed=3).forward
+
+
+@pytest.mark.parametrize("family", ["auc", "pe", "affine-toy"])
+def test_row_operator_batch_mean_matches_components(family):
+    op = _row_operator(family)
+    n = op.n
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(op.dim)
+    # both sides of the n // 4 switch between the gather and dense paths
+    for m in (1, n // 4 - 1, n // 4, n, 3 * n // 2):
+        idx = rng.integers(0, n, size=m)
+        idx[-1] = idx[0]  # a duplicate index whenever m > 1
+        direct = op.batch_components(x, idx).mean(axis=0)
+        got = op.batch_mean(x, idx)
+        assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct), m
+    direct = op.batch_components(x, np.arange(n)).mean(axis=0)
+    assert np.linalg.norm(op.full(x) - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_bilinear_problem_rotation():
