@@ -72,6 +72,29 @@ def _require_keys(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _require_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, not {value!r}")
+    return value
+
+
+def _require_int(value, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, "
+                          f"not {value!r}")
+    return value
+
+
+def _check_params(spec: dict, where: str) -> None:
+    if "b" in spec:
+        _require_int(spec["b"], f"{where}.b", 1)
+    if spec.get("mega_batch", "exact") != "exact":
+        _require_int(spec["mega_batch"], f"{where}.mega_batch", 1)
+    if "share_batches" in spec:
+        _require_bool(spec["share_batches"], f"{where}.share_batches")
+
+
 def _csv_id(value, where: str):
     if _CSV_SPECIAL.search(str(value)):
         raise ConfigError(f"{where} {value!r} may not contain a comma, a "
@@ -115,7 +138,11 @@ class ExperimentConfig:
         _require_keys(problem, _PROBLEM_KEYS[family], f"problem[{family}]")
         run_block = dict(raw["run"])
         _require_keys(run_block, _RUN_KEYS, "run")
-        seeds = list(run_block.get("seeds", [0]))
+        seeds = run_block.get("seeds", [0])
+        if not isinstance(seeds, list) or not seeds:
+            raise ConfigError(f"seeds must be a non-empty list, not {seeds!r}")
+        for j, seed in enumerate(seeds):
+            _require_int(seed, f"seeds[{j}]", 0)
         if len(seeds) != len(set(seeds)):
             raise ConfigError("seeds must be distinct")
         if not raw["algorithms"]:
@@ -135,6 +162,7 @@ class ExperimentConfig:
             params_spec = a.get("params", "default:experiment")
             if isinstance(params_spec, dict):
                 _require_keys(params_spec, _PARAM_KEYS, f"algorithms[{i}].params")
+                _check_params(params_spec, f"algorithms[{i}].params")
             elif params_spec not in ("default:experiment", "default:theory"):
                 raise ConfigError(
                     f"params must be a dict, 'default:experiment', or "
@@ -159,8 +187,9 @@ class ExperimentConfig:
             epochs=epochs,
             record_every_epochs=record_every,
             seeds=seeds,
-            max_iters=int(run_block.get("max_iters", 10_000_000)),
-            fix_data=bool(raw.get("fix_data", False)),
+            max_iters=_require_int(run_block.get("max_iters", 10_000_000),
+                                   "max_iters", 0),
+            fix_data=_require_bool(raw.get("fix_data", False), "fix_data"),
             timing=timing,
             x0_mode=x0_mode,
         )
@@ -227,7 +256,7 @@ def resolve_params(alg: AlgorithmSpec, n: int) -> EstimatorParams:
     spec = dict(alg.params_spec)
     kwargs = {}
     if "b" in spec:
-        kwargs["b"] = int(spec["b"])
+        kwargs["b"] = spec["b"]
     if "p_switch" in spec:
         kwargs["p_switch"] = float(spec["p_switch"])
     if "omega" in spec:
@@ -235,7 +264,7 @@ def resolve_params(alg: AlgorithmSpec, n: int) -> EstimatorParams:
     if "mega_batch" in spec:
         kwargs["mega_batch"] = spec["mega_batch"]
     if "share_batches" in spec:
-        kwargs["share_batches"] = bool(spec["share_batches"])
+        kwargs["share_batches"] = spec["share_batches"]
     if "sigma2" in spec:
         kwargs["sigma2"] = float(spec["sigma2"])
     if alg.estimator == "sgd":

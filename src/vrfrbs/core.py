@@ -191,18 +191,17 @@ ForwardOperator = Union[FiniteSumOperator, RowOperator, StochasticOracle]
 
 
 def eval_full(op: ForwardOperator, x: np.ndarray,
-              counter: Optional[CallCounter] = None,
-              charge: bool = True) -> np.ndarray:
+              counter: Optional[CallCounter] = None) -> np.ndarray:
     """Exact mean (1/n) sum_i G_i(x).
 
-    Charges n component evaluations unless `charge` is False (free mode for
-    closed-form diagnostics).
+    Charges n component evaluations to `counter` when one is passed; without
+    a counter the evaluation is free (closed-form diagnostics).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (op.dim,):
         raise ValueError(f"dimension mismatch: expected ({op.dim},), got {x.shape}")
     value = op.full(x)
-    if charge and getattr(op, "n", None) is not None:
+    if getattr(op, "n", None) is not None:
         _charge(counter, op.n)
     return value
 
@@ -322,13 +321,12 @@ class InclusionProblem:
 
 
 def fb_residual(problem: InclusionProblem, eta: float, x: np.ndarray,
-                counter: Optional[CallCounter] = None,
-                metered: bool = False):
+                counter: Optional[CallCounter] = None):
     """Forward-backward residual r = (x - J(x - eta*G(x))) / eta.
 
     x solves the inclusion iff r = 0, which makes ||r|| the convergence
-    certificate reported by all runs.  Uses the exact full-batch G; by
-    default this diagnostic is unmetered (charge with metered=True).
+    certificate reported by all runs.  Uses the exact full-batch G, charged
+    n to `counter` when one is passed and unmetered otherwise.
 
     Returns:
         (r, ||r||)
@@ -336,7 +334,6 @@ def fb_residual(problem: InclusionProblem, eta: float, x: np.ndarray,
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
-    gx = eval_full(problem.forward, x, counter=counter if metered else None,
-                   charge=metered)
+    gx = eval_full(problem.forward, x, counter=counter)
     r = (x - apply_resolvent(problem.resolvent, x - eta * gx, eta)) / eta
     return r, float(np.linalg.norm(r))

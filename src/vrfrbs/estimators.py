@@ -21,7 +21,8 @@ provided through one uniform step interface:
 
 Every estimator reports the exact number of component/oracle evaluations it
 performs; values computed once inside a single step formula are reused
-within that formula but never across iterations (batches differ).
+within that formula but never across iterations (batches differ), except
+the exact G(x_k) an exact sarah reset keeps for a reset at the next step.
 
 `theory_card` returns the contraction/variance constants (tau, kappa,
 Theta, Theta_hat, delta_k) each construction is known to satisfy, consumed
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -71,9 +72,6 @@ class EstimatorParams:
     delta_schedule: k -> delta_k slack for the adaptive sgd batch rule.
     sigma2: oracle variance bound, used by the adaptive sgd rule and by the
         theory-card delta_k formulas.
-    retain_full: keep the most recent full evaluation so consecutive exact
-        anchors charge n instead of 2n.  Defaults to False for `full` and
-        True for exact sarah anchors.
     """
 
     b: Union[int, float] = 1
@@ -84,7 +82,6 @@ class EstimatorParams:
     share_batches: bool = True
     delta_schedule: Optional[Callable[[int], float]] = None
     sigma2: float = 0.0
-    retain_full: Optional[bool] = None
 
 
 @dataclass
@@ -128,7 +125,7 @@ class EstimatorState:
     table: Optional[np.ndarray] = None
     table_mean: Optional[np.ndarray] = None
     steps_since_resync: int = 0
-    # retained full evaluation: (iterate index, value)
+    # exact value kept between sarah's exact resets: (iterate index, value)
     last_full: Optional[tuple] = None
 
     @property
@@ -189,10 +186,6 @@ def _validate_params(kind: str, params: EstimatorParams,
         raise ValueError("mega_batch must be 'exact' or an integer >= 1")
 
 
-def _retain_default(kind: str) -> bool:
-    return kind == SARAH
-
-
 # ---------------------------------------------------------------------------
 # Step evaluation.  All randomness is materialized in `draws` first, so the
 # same deterministic core serves the RNG path, the exact enumeration used by
@@ -201,32 +194,22 @@ def _retain_default(kind: str) -> bool:
 # ---------------------------------------------------------------------------
 
 class _StepEval:
-    """Shared-value bookkeeping for one step formula.
+    """The one route from a step formula to the forward operator.
 
-    Batch means are cached by (point-label, batch-label) so a value reused
-    inside one formula (shared hybrid batches, snapshot equal to x_{k-1}) is
-    evaluated and charged once.  `trials` is None for one step with 1-D
-    draws, or the number T of trials whose draws carry a leading axis of
-    length T; batch means are then (T, dim) arrays.
+    Every evaluation is charged as it is made: one call per sample for
+    batch values, n for an exact mean.  `trials` is None for one step with
+    1-D draws, or the number T of trials whose draws carry a leading axis
+    of length T; batch means are then (T, dim) arrays.
     """
 
-    def __init__(self, state: EstimatorState, x, x1, x2,
-                 trials: Optional[int] = None):
+    def __init__(self, state: EstimatorState, trials: Optional[int] = None):
         self.st = state
         self.op = state.problem.forward
-        self.points = {"x": x, "x1": x1, "x2": x2}
-        self.cache: Dict[tuple, np.ndarray] = {}
         self.calls = 0
         self.trials = trials
 
-    def bmean(self, point_label: str, batch_label: str, idx) -> np.ndarray:
-        key = (point_label, batch_label)
-        if key not in self.cache:
-            self.cache[key] = self.mean_at(self.points[point_label], idx)
-        return self.cache[key]
-
-    def mean_at(self, point: np.ndarray, idx) -> np.ndarray:
-        """Uncached batch mean at `point`, charged one call per sample."""
+    def mean(self, point: np.ndarray, idx) -> np.ndarray:
+        """Batch mean at `point`, charged one call per sample."""
         if self.trials is None:
             self.calls += len(idx)
             return self.op.batch_mean(point, idx)
@@ -244,18 +227,18 @@ class _StepEval:
         rows = self.op.batch_components(point, flat)
         return rows.reshape(idx.shape[:2] + rows.shape[1:])
 
-    def full_at(self, tag: int, point: np.ndarray) -> np.ndarray:
-        """Exact mean at an iterate identified by its index, with optional
-        retention of the most recent value."""
+    def full(self, point: np.ndarray, tag: Optional[int] = None) -> np.ndarray:
+        """Exact mean at `point`, charged n.  `tag` is the index of the
+        iterate `point` is: the value is then kept in the state, and a value
+        already kept under the same tag is returned without evaluating."""
         st = self.st
-        retain = st.params.retain_full
-        if retain is None:
-            retain = _retain_default(st.kind)
-        if retain and st.last_full is not None and st.last_full[0] == tag:
+        if tag is not None and st.last_full is not None \
+                and st.last_full[0] == tag:
             return st.last_full[1]
         value = self.op.full(point)
         self.calls += self.op.n
-        st.last_full = (tag, value)
+        if tag is not None:
+            st.last_full = (tag, value)
         return value
 
 
@@ -328,16 +311,8 @@ def _make_draws(state: EstimatorState, x, x1, x2,
 def _anchor_at(ev: _StepEval, point: np.ndarray, draws: dict) -> np.ndarray:
     """Anchor value of a snapshot taken at x_{k-1} (`point`)."""
     if ev.st.params.mega_batch == "exact":
-        return ev.full_at(ev.st.k - 1, point)
-    # mega sample evaluated at the snapshot only; not reused elsewhere
-    return ev.mean_at(point, draws["mega"])
-
-
-def _refresh_snapshot(ev: _StepEval, x1: np.ndarray, draws: dict) -> None:
-    st = ev.st
-    st.snapshot = np.array(x1, copy=True)
-    st.snapshot_tag = st.k - 1
-    st.anchor_value = _anchor_at(ev, st.snapshot, draws)
+        return ev.full(point)
+    return ev.mean(point, draws["mega"])
 
 
 def _select(coin, on_coin, otherwise):
@@ -353,40 +328,34 @@ def _select(coin, on_coin, otherwise):
 def _snapshot_coin(ev: _StepEval, x1: np.ndarray, draws: dict):
     """Apply the snapshot coin.
 
-    One step refreshes the state's snapshot in place when its coin comes
-    up and returns None.  A trial-batched step leaves the state alone and
+    One step moves the state's snapshot to x_{k-1} when its coin comes up
+    and returns None.  A trial-batched step leaves the state alone and
     returns (coin, anchor value at x_{k-1}) for `_svrg_term`, or None when
     no trial refreshes.
     """
     coin = draws["coin"]
+    st = ev.st
     if ev.trials is None:
         if coin:
-            _refresh_snapshot(ev, x1, draws)
+            st.snapshot = np.array(x1, copy=True)
+            st.snapshot_tag = st.k - 1
+            st.anchor_value = _anchor_at(ev, st.snapshot, draws)
         return None
     if not coin.any():
         return None
     return coin, _anchor_at(ev, x1, draws)
 
 
-def _snapshot_label(st: EstimatorState) -> str:
-    # the snapshot coincides with x_{k-1} right after a refresh
-    return "x1" if st.snapshot_tag == st.k - 1 else "w"
+def _svrg_term(ev: _StepEval, idx, gx, gx1, refresh=None) -> np.ndarray:
+    """anchor - G_B(w) + 2 G_B(x_k) - G_B(x_{k-1}) at the snapshot w, from
+    the batch means `gx`, `gx1` at x_k and x_{k-1} on batch `idx`.
 
-
-def _svrg_term(ev: _StepEval, batch_label: str, idx,
-               refresh=None) -> np.ndarray:
-    """anchor - G_B(w) + 2 G_B(x_k) - G_B(x_{k-1}) at the snapshot w.
-
-    `refresh` is what `_snapshot_coin` returned: in a trial-batched step the
-    trials whose coin came up use w = x_{k-1} and its new anchor value.
+    A snapshot taken at x_{k-1} reuses `gx1`.  `refresh` is what
+    `_snapshot_coin` returned: in a trial-batched step the trials whose
+    coin came up use w = x_{k-1} and its new anchor value.
     """
     st = ev.st
-    wl = _snapshot_label(st)
-    if wl == "w":
-        ev.points["w"] = st.snapshot
-    gw = ev.bmean(wl, batch_label, idx)
-    gx = ev.bmean("x", batch_label, idx)
-    gx1 = ev.bmean("x1", batch_label, idx)
+    gw = gx1 if st.snapshot_tag == st.k - 1 else ev.mean(st.snapshot, idx)
     anchor = st.anchor_value
     if refresh is not None:
         coin, new_anchor = refresh
@@ -395,28 +364,16 @@ def _svrg_term(ev: _StepEval, batch_label: str, idx,
     return anchor - gw + 2.0 * gx - gx1
 
 
-def _sarah_increment(ev: _StepEval, idx) -> np.ndarray:
-    gx = ev.bmean("x", "batch", idx)
-    gx1 = ev.bmean("x1", "batch", idx)
-    gx2 = ev.bmean("x2", "batch", idx)
-    return 2.0 * gx - 3.0 * gx1 + gx2
-
-
 def _exact_direction(ev: _StepEval, x, x1) -> np.ndarray:
-    st = ev.st
-    if st.k == 0 or np.array_equal(x, x1):
-        return ev.full_at(st.k, x)
-    # x1 first: it may hit the value retained at the previous step; the
-    # retained slot then ends up holding the newest iterate's value
-    gx1 = ev.full_at(st.k - 1, x1)
-    gx = ev.full_at(st.k, x)
-    return 2.0 * gx - gx1
-
-
-def _mega_direction(ev: _StepEval, draws: dict) -> np.ndarray:
-    sample = draws["mega"]
-    gx = ev.mean_at(ev.points["x"], sample)
-    gx1 = ev.mean_at(ev.points["x1"], sample)
+    """2 G(x_k) - G(x_{k-1}) for sarah's exact resets, keeping G(x_k) for
+    the next step."""
+    k = ev.st.k
+    if k == 0 or np.array_equal(x, x1):
+        return ev.full(x, tag=k)
+    # x1 first: it may hit the value kept at the previous step; the kept
+    # slot then ends up holding the newest iterate's value
+    gx1 = ev.full(x1, tag=k - 1)
+    gx = ev.full(x, tag=k)
     return 2.0 * gx - gx1
 
 
@@ -425,37 +382,39 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
     """Evaluate S_tilde at step state.k from materialized draws.
 
     Returns (value, calls).  With 1-D draws (`trials` None) this is one
-    step: it mutates snapshot/table/retained-value state.  With draws from
+    step: it mutates snapshot/table/kept-value state.  With draws from
     `_make_draws(..., trials=T)` it evaluates T independent outcomes of the
     same step and returns a (T, dim) value: every batch is evaluated for all
     trials in one oracle call, coin branches become per-trial selections,
     and an exact evaluation (snapshot refresh, sarah reset) runs once for
     all trials.  The trials' futures differ, so a batched step leaves the
     snapshot and the saga table as they were.
+
+    Each batch mean is evaluated once and held in a local: the snapshot
+    term reuses G_B(x_{k-1}) right after a refresh, and shared hybrid
+    batches reuse the recursion's G_B(x_k) and G_B(x_{k-1}).
     """
     kind, pm = state.kind, state.params
-    ev = _StepEval(state, x, x1, x2, trials)
+    ev = _StepEval(state, trials)
 
     if kind == FULL:
-        value = _exact_direction(ev, x, x1) if pm.retain_full else None
-        if value is None:
-            gx = ev.op.full(x)
-            gx1 = ev.op.full(x1)
-            ev.calls += 2 * ev.op.n
-            value = 2.0 * gx - gx1
+        gx = ev.full(x)
+        gx1 = ev.full(x1)
+        value = 2.0 * gx - gx1
 
     elif kind == SGD:
         idx = draws["batch"]
-        value = 2.0 * ev.bmean("x", "batch", idx) - ev.bmean("x1", "batch", idx)
+        value = 2.0 * ev.mean(x, idx) - ev.mean(x1, idx)
 
     elif kind == SVRG:
         refresh = _snapshot_coin(ev, x1, draws)
-        value = _svrg_term(ev, "batch", draws["batch"], refresh)
+        idx = draws["batch"]
+        value = _svrg_term(ev, idx, ev.mean(x, idx), ev.mean(x1, idx), refresh)
 
     elif kind == SAGA:
         idx = draws["batch"]
         comp_x1 = ev.components(x1, idx)
-        gx = ev.bmean("x", "batch", idx)
+        gx = ev.mean(x, idx)
         table_batch = state.table[idx].mean(axis=-2)
         value = state.table_mean - table_batch + 2.0 * gx - comp_x1.mean(axis=-2)
         if trials is None:
@@ -480,26 +439,28 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
             if pm.mega_batch == "exact":
                 reset = _exact_direction(ev, x, x1)
             else:
-                reset = _mega_direction(ev, draws)
+                sample = draws["mega"]
+                reset = 2.0 * ev.mean(x, sample) - ev.mean(x1, sample)
         if some_stay:
-            stay = state.s_tilde + _sarah_increment(ev, draws["batch"])
+            idx = draws["batch"]
+            gx, gx1 = ev.mean(x, idx), ev.mean(x1, idx)
+            stay = state.s_tilde + (2.0 * gx - 3.0 * gx1 + ev.mean(x2, idx))
         value = _select(coin, reset, stay)
 
-    elif kind == HSGD:
+    elif kind in (HSGD, HSVRG):
+        refresh = _snapshot_coin(ev, x1, draws) if kind == HSVRG else None
+        idx = draws["batch"]
+        gx, gx1 = ev.mean(x, idx), ev.mean(x1, idx)
+        rec = state.s_tilde + (2.0 * gx - 3.0 * gx1 + ev.mean(x2, idx))
+        idx_hat = draws["batch_hat"]
+        if not pm.share_batches:
+            gx, gx1 = ev.mean(x, idx_hat), ev.mean(x1, idx_hat)
+        if kind == HSGD:
+            blend = 2.0 * gx - gx1
+        else:
+            blend = _svrg_term(ev, idx_hat, gx, gx1, refresh)
         w = pm.omega
-        rec = state.s_tilde + _sarah_increment(ev, draws["batch"])
-        bl = "batch" if pm.share_batches else "batch_hat"
-        idxh = draws["batch_hat"]
-        plain = 2.0 * ev.bmean("x", bl, idxh) - ev.bmean("x1", bl, idxh)
-        value = (1.0 - w) * rec + w * plain
-
-    elif kind == HSVRG:
-        w = pm.omega
-        refresh = _snapshot_coin(ev, x1, draws)
-        rec = state.s_tilde + _sarah_increment(ev, draws["batch"])
-        bl = "batch" if pm.share_batches else "batch_hat"
-        svrg_part = _svrg_term(ev, bl, draws["batch_hat"], refresh)
-        value = (1.0 - w) * rec + w * svrg_part
+        value = (1.0 - w) * rec + w * blend
 
     else:  # pragma: no cover
         raise ValueError(kind)
@@ -527,37 +488,27 @@ def make_estimator(kind: str, params: EstimatorParams,
     rng = np.random.default_rng(seed)
     st = EstimatorState(kind=kind, params=params, problem=problem,
                         x0=x0.copy(), rng=rng)
-    op = problem.forward
-    ev = _StepEval(st, x0, x0, x0)
+    ev = _StepEval(st)
+    exact = params.mega_batch == "exact"
 
     if kind == SAGA:
-        rows = op.batch_components(x0, np.arange(op.n))
-        ev.calls += op.n
+        rows = ev.components(x0, np.arange(problem.forward.n))
         st.table = np.array(rows, dtype=float)
         st.table_mean = st.table.mean(axis=0)
         st.s_tilde = st.table_mean.copy()
     elif kind in (SVRG, HSVRG):
         st.snapshot = x0.copy()
         st.snapshot_tag = 0
-        if params.mega_batch == "exact":
-            st.anchor_value = ev.full_at(0, x0)
-        else:
-            sample = _draw_batch(st, params.mega_batch)
-            st.anchor_value = op.batch_mean(x0, sample)
-            ev.calls += len(sample)
+        st.anchor_value = ev.full(x0) if exact \
+            else ev.mean(x0, _draw_batch(st, params.mega_batch))
         st.s_tilde = st.anchor_value.copy()
     elif kind == SGD:
         b0 = _sgd_batch_size(st, x0, x0, x0)
-        idx = _draw_batch(st, b0)
-        st.s_tilde = op.batch_mean(x0, idx)
-        ev.calls += b0
-    else:  # full, sarah, hsgd
-        if kind == FULL or params.mega_batch == "exact":
-            st.s_tilde = ev.full_at(0, x0)
-        else:
-            sample = _draw_batch(st, params.mega_batch)
-            st.s_tilde = op.batch_mean(x0, sample)
-            ev.calls += len(sample)
+        st.s_tilde = ev.mean(x0, _draw_batch(st, b0))
+    elif kind == FULL or exact:  # full, exact sarah and hsgd
+        st.s_tilde = ev.full(x0, tag=0)
+    else:  # mega-batch sarah and hsgd
+        st.s_tilde = ev.mean(x0, _draw_batch(st, params.mega_batch))
 
     st.counter.add(ev.calls)
     st.init_calls = ev.calls

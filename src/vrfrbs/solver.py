@@ -201,8 +201,7 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
     t0 = time.perf_counter()
 
     def residual_at(point):
-        _, nrm = fb_residual(problem, eta, point, counter=res_counter,
-                             metered=config.meter_residuals)
+        _, nrm = fb_residual(problem, eta, point, counter=res_counter)
         return nrm
 
     records: List[TraceRecord] = []

@@ -1,12 +1,17 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrfrbs.bench import (CSV_HEADER, ConfigError, ExperimentConfig,
                           read_runs_csv, resolve_eta, run_experiment,
                           summarize)
 from vrfrbs.cli import main as cli_main
+from vrfrbs.estimators import KINDS
 
 
 def toy_config(**overrides):
@@ -74,6 +79,26 @@ def test_cli_nan_eta_is_a_config_error(tmp_path):
 def test_run_block_rejects_bad_lengths(key, value):
     bad = toy_config()
     bad["run"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("run", "seeds", [0.5]),
+    ("run", "seeds", "01"),
+    ("run", "seeds", [True]),
+    ("params", "share_batches", "false"),
+    ("config", "fix_data", "false"),
+    ("params", "b", 2.9),
+    ("params", "b", True),
+    ("params", "mega_batch", True),
+    ("run", "max_iters", 2.5),
+])
+def test_mistyped_values_rejected(block, key, value):
+    bad = toy_config()
+    target = {"config": bad, "run": bad["run"],
+              "params": bad["algorithms"][1]["params"]}[block]
+    target[key] = value
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_dict(bad)
 
@@ -298,3 +323,65 @@ def test_manifest_nominal_cost_for_svrg(tmp_path):
         # n p + 2 (1-p) b with n=12, p=0.4, b=6
         assert cell["nominal_cost_per_iter"] == pytest.approx(
             12 * 0.4 + 2 * 0.6 * 6)
+
+
+_MALFORMED = st.one_of(st.floats(-2.0, 50.0), st.booleans(),
+                       st.text("01tf.", max_size=4))
+_KIND_PARAMS = {"svrg": {"p_switch": 0.5}, "sarah": {"p_switch": 0.5},
+                "hsgd": {"omega": 0.5},
+                "hsvrg": {"p_switch": 0.5, "omega": 0.5}}
+
+
+@st.composite
+def small_toy_configs(draw):
+    """Affine-toy configs (dim <= 6, <= 40 components, <= 3 epochs) in which
+    at most one field holds a malformed scalar."""
+    bad = draw(st.sampled_from([None, "b", "mega_batch", "share_batches",
+                                "fix_data", "seeds", "seeds[0]"]))
+
+    def value(field, good):
+        return draw(_MALFORMED if field == bad else good)
+
+    n = draw(st.integers(1, 40))
+    algorithms = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(KINDS),
+                                           min_size=1, max_size=2))):
+        params = dict(_KIND_PARAMS.get(kind, {}))
+        if kind != "full" and (bad == "b" or draw(st.booleans())):
+            params["b"] = value("b", st.integers(1, n))
+        if kind in ("svrg", "sarah", "hsgd", "hsvrg") and \
+                (bad == "mega_batch" or draw(st.booleans())):
+            params["mega_batch"] = value("mega_batch", st.integers(1, 2 * n))
+        if kind in ("hsgd", "hsvrg"):
+            params["share_batches"] = value("share_batches", st.booleans())
+        algorithms.append({
+            "name": f"a{i}", "estimator": kind, "params": params,
+            "eta": draw(st.sampled_from(["theory", "1/2L", "1/8L", 100.0]))})
+    if bad == "seeds[0]":
+        seeds = [draw(_MALFORMED)]
+    else:
+        seeds = value("seeds", st.lists(st.integers(0, 3), min_size=1,
+                                        max_size=2, unique=True))
+    return {
+        "experiment_id": "prop",
+        "problem": {"family": "affine-toy", "dim": draw(st.integers(1, 6)),
+                    "components": n, "seed": draw(st.integers(0, 3))},
+        "algorithms": algorithms,
+        "fix_data": value("fix_data", st.booleans()),
+        "run": {"epochs": draw(st.floats(1.0, 3.0)),
+                "record_every_epochs": draw(st.floats(0.5, 3.0)),
+                "seeds": seeds},
+    }
+
+
+@settings(max_examples=30, deadline=5000)
+@given(small_toy_configs())
+def test_cli_run_exit_codes_property(config):
+    """Every small config runs (0), is rejected as a config error (2) or
+    diverges (3); nothing else escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)

@@ -10,6 +10,8 @@ from vrfrbs.core import (CallCounter, apply_resolvent,
 from vrfrbs.problems import (affine_problem_from_components, linear_toy,
                              strongly_monotone_affine)
 
+from helpers import instrumented_problem
+
 
 def two_component_op():
     # G_1(x) = x, G_2(x) = 3x
@@ -39,7 +41,8 @@ def test_eval_full_counter_and_free_mode():
     counter = CallCounter()
     eval_full(op, np.array([1.0]), counter=counter)
     assert counter.count == 2
-    eval_full(op, np.array([1.0]), counter=counter, charge=False)
+    # free mode: no counter, nothing charged anywhere
+    eval_full(op, np.array([1.0]))
     assert counter.count == 2
 
 
@@ -184,12 +187,13 @@ def test_residual_prox_hand_computed():
 
 
 def test_residual_unmetered_by_default():
-    prob = linear_toy(n=6, dim=3, seed=9)
+    # both calls evaluate G(x); only the one given a counter charges it
+    prob, wrapped = instrumented_problem(linear_toy(n=6, dim=3, seed=9))
     counter = CallCounter()
+    fb_residual(prob, 0.3, np.zeros(3))
+    assert (wrapped.observed, counter.count) == (6, 0)
     fb_residual(prob, 0.3, np.zeros(3), counter=counter)
-    assert counter.count == 0
-    fb_residual(prob, 0.3, np.zeros(3), counter=counter, metered=True)
-    assert counter.count == 6
+    assert (wrapped.observed, counter.count) == (12, 6)
 
 
 def test_lipschitz_audit_on_toy():

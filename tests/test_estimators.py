@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vrfrbs.bench import run_experiment
 from vrfrbs.core import FiniteSumOperator, InclusionProblem, identity_resolvent, UnsupportedConfigError
 from vrfrbs.estimators import (KINDS, EstimatorParams, estimator_step,
                                make_estimator)
@@ -119,19 +122,6 @@ def test_full_batch_step_value_and_calls():
     assert calls == 2 * 4
 
 
-def test_full_batch_retained_charges_n():
-    prob = components_only_problem()
-    x0 = np.zeros(3)
-    st_ = make_estimator("full", EstimatorParams(retain_full=True), prob,
-                         x0, seed=0)
-    x1 = np.array([0.2, -0.1, 0.4])
-    _, calls = estimator_step(st_, x1, x0, x0)
-    assert calls == 4  # G(x0) retained from initialization
-    x2 = x1 + 0.1
-    _, calls = estimator_step(st_, x2, x1, x0)
-    assert calls == 4
-
-
 def test_saga_full_batch_collapse():
     prob = components_only_problem(n=4)
     x0 = np.array([0.1, 0.2, 0.3])
@@ -187,6 +177,28 @@ def test_sarah_always_switch_is_exact():
     x1 = np.array([1.0, -1.0, 0.5])
     value, _ = estimator_step(st_, x1, x0, x0)
     assert np.allclose(value, true_direction(prob, x1, x0), atol=1e-15)
+
+
+def test_sarah_exact_resets_charge_n_per_step():
+    # p_switch = 1 resets every step; G(x_{k-1}) is the value kept from the
+    # previous reset (from initialization at the first step), so each step
+    # evaluates only G(x_k)
+    base = components_only_problem(n=4)
+    prob, wrapped = instrumented_problem(base)
+    x0 = np.zeros(3)
+    st_ = make_estimator("sarah", EstimatorParams(b=1, p_switch=1.0), prob,
+                         x0, seed=0)
+    assert st_.init_calls == wrapped.observed == 4
+    rng = np.random.default_rng(2)
+    pts = [x0]
+    for _ in range(6):
+        pts.append(pts[-1] + 0.3 * rng.standard_normal(3))
+    for k in range(1, 7):
+        before = wrapped.observed
+        value, calls = estimator_step(st_, pts[k], pts[k - 1],
+                                      pts[max(k - 2, 0)])
+        assert calls == wrapped.observed - before == 4, k
+        assert np.array_equal(value, true_direction(base, pts[k], pts[k - 1]))
 
 
 def test_hsgd_omega_one_is_plain_minibatch():
@@ -267,11 +279,19 @@ def test_full_index_collapse_reproduces_direction(kind):
         assert np.allclose(value, expected, atol=1e-13), kind
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_call_accounting_matches_instrumented_operator(kind):
+_ACCOUNTING_CASES = (
+    [pytest.param(kind, {}, id=kind) for kind in KINDS]
+    + [pytest.param(kind, {"share_batches": False}, id=f"{kind}-unshared")
+       for kind in ("hsgd", "hsvrg")]
+    + [pytest.param(kind, {"mega_batch": 5}, id=f"{kind}-mega")
+       for kind in ("svrg", "sarah", "hsgd", "hsvrg")])
+
+
+@pytest.mark.parametrize("kind, extra", _ACCOUNTING_CASES)
+def test_call_accounting_matches_instrumented_operator(kind, extra):
     base = linear_toy(n=8, dim=3, seed=11)
     prob, wrapped = instrumented_problem(base)
-    params = params_for(kind, 8, b=3)
+    params = dataclasses.replace(params_for(kind, 8, b=3), **extra)
     x0 = np.zeros(3)
     st_ = make_estimator(kind, params, prob, x0, seed=4)
     assert st_.init_calls == wrapped.observed
@@ -284,6 +304,51 @@ def test_call_accounting_matches_instrumented_operator(kind):
         _, calls = estimator_step(st_, pts[k], pts[k - 1], pts[max(k - 2, 0)])
         assert calls == wrapped.observed - before, (kind, k)
     assert st_.calls == wrapped.observed
+
+
+# (iterations, oracle_calls) of every cell of a 10-epoch affine-toy matrix
+# (n = 30, budget 300 calls).  The call audit above passes when a shared
+# batch mean is evaluated and charged twice; these counts do not.
+STEP_MATRIX = {
+    "full": ("full", {}, (6, 330)),
+    "sgd": ("sgd", {"sgd_coeff": 0.05}, (20, 321)),
+    "saga": ("saga", {"b": 4}, (35, 302)),
+    "svrg": ("svrg", {"b": 4, "p_switch": 0.3}, (17, 322)),
+    "svrg-mega": ("svrg", {"b": 4, "p_switch": 0.3, "mega_batch": 10},
+                  (21, 300)),
+    "sarah": ("sarah", {"b": 4, "p_switch": 0.3}, (12, 342)),
+    "sarah-p1": ("sarah", {"b": 4, "p_switch": 1.0}, (10, 300)),
+    "sarah-mega": ("sarah", {"b": 4, "p_switch": 0.3, "mega_batch": 10},
+                   (22, 302)),
+    "hsgd": ("hsgd", {"b": 4, "omega": 0.5}, (24, 306)),
+    "hsgd-unshared": ("hsgd", {"b": 4, "omega": 0.5, "share_batches": False},
+                      (15, 310)),
+    "hsgd-mega": ("hsgd", {"b": 4, "omega": 0.5, "mega_batch": 10},
+                  (26, 310)),
+    "hsvrg": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5}, (13, 322)),
+    "hsvrg-unshared": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5,
+                                 "share_batches": False}, (11, 318)),
+    "hsvrg-mega": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5,
+                             "mega_batch": 10}, (17, 304)),
+    "hsvrg-mega-unshared": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5,
+                                      "mega_batch": 10,
+                                      "share_batches": False}, (12, 306)),
+}
+
+
+def test_step_matrix_iterations_and_calls(tmp_path):
+    config = {
+        "experiment_id": "step-matrix",
+        "problem": {"family": "affine-toy", "dim": 4, "components": 30,
+                    "seed": 5},
+        "algorithms": [{"name": name, "estimator": kind, "params": params,
+                        "eta": "1/8L"}
+                       for name, (kind, params, _) in STEP_MATRIX.items()],
+        "run": {"epochs": 10, "record_every_epochs": 5.0, "seeds": [0]},
+    }
+    cells = run_experiment(config, tmp_path)
+    got = {c["algorithm"]: (c["iterations"], c["oracle_calls"]) for c in cells}
+    assert got == {name: cell[2] for name, cell in STEP_MATRIX.items()}
 
 
 @pytest.mark.parametrize("kind", KINDS)
