@@ -8,33 +8,25 @@ summary.csv, and manifest.json to --out.
 """
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from vrfrbs.bench import run_experiment
 
+DESK_CONFIG = Path(__file__).resolve().parent / "configs" / "auc_desk.json"
+
 
 def build_config(n, d, epochs, seeds):
-    return {
-        "experiment_id": f"auc-n{n}-d{d}",
-        "problem": {"family": "auc", "n": n, "d": d, "p_pos": 0.1,
-                    "noise_sigma": 0.1, "seed": 17},
-        "algorithms": [
-            {"name": "svrg", "estimator": "svrg",
-             "params": "default:experiment", "eta": "1/5L"},
-            {"name": "saga", "estimator": "saga",
-             "params": "default:experiment", "eta": "1/14L"},
-            {"name": "sgd", "estimator": "sgd",
-             "params": {"sgd_coeff": 0.01}, "eta": "1/2L"},
-            {"name": "sarah", "estimator": "sarah",
-             "params": "default:experiment", "eta": "1/3.5L"},
-            {"name": "hsgd", "estimator": "hsgd",
-             "params": "default:experiment", "eta": "1/1.5L"},
-            {"name": "hsvrg", "estimator": "hsvrg",
-             "params": "default:experiment", "eta": "1/5.5L"},
-        ],
-        "run": {"epochs": epochs, "record_every_epochs": max(1.0, epochs / 200),
-                "seeds": seeds},
-    }
+    """The matrix of configs/auc_desk.json at n samples of d features."""
+    with open(DESK_CONFIG) as fh:
+        config = json.load(fh)
+    config["experiment_id"] = f"auc-n{n}-d{d}"
+    config["problem"].update(n=n, d=d)
+    config["run"].update(epochs=epochs,
+                         record_every_epochs=max(1.0, epochs / 200),
+                         seeds=seeds)
+    return config
 
 
 def main(argv=None):

@@ -8,35 +8,27 @@ features.
 """
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from vrfrbs.bench import run_experiment
 
+DESK_CONFIG = (Path(__file__).resolve().parent / "configs"
+               / "policy_eval_desk.json")
+
 
 def build_config(states, actions, transitions, features, epochs, seeds):
-    return {
-        "experiment_id": f"pe-s{states}-a{actions}-n{transitions}",
-        "problem": {"family": "policy-eval", "states": states,
-                    "actions": actions, "transitions": transitions,
-                    "features": features, "gamma": 0.95, "tau_reg": 1e-4,
-                    "seed": 7},
-        "algorithms": [
-            {"name": "svrg", "estimator": "svrg",
-             "params": "default:experiment", "eta": "1/2L"},
-            {"name": "saga", "estimator": "saga",
-             "params": "default:experiment", "eta": "1/2L"},
-            {"name": "sgd", "estimator": "sgd",
-             "params": {"sgd_coeff": 0.025}, "eta": "1/2L"},
-            {"name": "sarah", "estimator": "sarah",
-             "params": "default:experiment", "eta": "1/8L"},
-            {"name": "hsgd", "estimator": "hsgd",
-             "params": "default:experiment", "eta": "1/8L"},
-            {"name": "hsvrg", "estimator": "hsvrg",
-             "params": "default:experiment", "eta": "1/8L"},
-        ],
-        "run": {"epochs": epochs, "record_every_epochs": max(1.0, epochs / 200),
-                "seeds": seeds},
-    }
+    """The matrix of configs/policy_eval_desk.json at the given sizes."""
+    with open(DESK_CONFIG) as fh:
+        config = json.load(fh)
+    config["experiment_id"] = f"pe-s{states}-a{actions}-n{transitions}"
+    config["problem"].update(states=states, actions=actions,
+                             transitions=transitions, features=features)
+    config["run"].update(epochs=epochs,
+                         record_every_epochs=max(1.0, epochs / 200),
+                         seeds=seeds)
+    return config
 
 
 def main(argv=None):

@@ -10,7 +10,9 @@ evaluations), and writes
                            rel_residual,abs_residual,wall_ms
     summary.csv    per-algorithm mean of the relative residual across seeds
                    on an integer epoch grid (interpolated in log-residual)
-    manifest.json  the resolved configuration and software version
+    manifest.json  the software version, the resolved configuration
+                   (`load_config`: defaults filled in, the problem block
+                   as given) and one resolution per cell
 
 Floats are written with 17 significant digits (exact decimal round-trip)
 and LF line endings.  With the default "timing": "off" the wall_ms column
@@ -47,186 +49,204 @@ class ConfigError(ValueError):
 
 CSV_HEADER = "experiment_id,algorithm,seed,epoch,iter,rel_residual,abs_residual,wall_ms"
 
-_TOP_KEYS = {"experiment_id", "problem", "algorithms", "run", "fix_data",
-             "timing", "x0"}
-_PROBLEM_KEYS = {
-    "auc": {"family", "n", "d", "p_pos", "noise_sigma", "radius", "seed"},
-    "policy-eval": {"family", "states", "actions", "transitions", "features",
-                    "gamma", "tau_reg", "seed"},
-    "affine-toy": {"family", "dim", "components", "mu", "slope_scale",
-                   "offset_scale", "seed"},
-}
-_ALG_KEYS = {"name", "estimator", "params", "eta"}
-_PARAM_KEYS = {"b", "p_switch", "omega", "mega_batch", "share_batches",
-               "sgd_coeff", "sigma2"}
-_RUN_KEYS = {"epochs", "record_every_epochs", "seeds", "max_iters"}
-
 _ETA_PATTERN = re.compile(r"^1/([0-9]*\.?[0-9]+)L$")
 # runs.csv writes ids unquoted, so they may not hold its separators
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
+# Config schema: one table per block maps each key to (check, default).  A
+# check takes (value, where) and returns the value to use or raises
+# ConfigError; defaults go through it too.  _REQUIRED keys must be given,
+# _ABSENT keys stay absent when not given.
+_REQUIRED = object()
+_ABSENT = object()
 
-def _require_keys(mapping, allowed, where):
-    unknown = set(mapping) - allowed
+
+def _check(test, rule, cast=None):
+    def check(value, where):
+        if not test(value):
+            raise ConfigError(f"{where} must be {rule}, not {value!r}")
+        return value if cast is None else cast(value)
+    return check
+
+
+def _finite(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _one_of(*options):
+    return _check(lambda v: isinstance(v, str) and v in options,
+                  " or ".join(map(repr, options)))
+
+
+def _list_of(check, distinct=False):
+    def read(value, where):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list, "
+                              f"not {value!r}")
+        items = [check(v, f"{where}[{j}]") for j, v in enumerate(value)]
+        if distinct and len(set(items)) != len(items):
+            raise ConfigError(f"{where} must be distinct")
+        return items
+    return read
+
+
+def _read(block, table, where=""):
+    """Check `block` (at path `where`, "" for the whole config) against
+    `table`; return its values with the defaults filled in."""
+    name = where or "config"
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {block!r}")
+    unknown = set(block) - set(table)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name}")
+    out = {}
+    for key, (check, default) in table.items():
+        path = f"{where}.{key}".lstrip(".")
+        if key in block:
+            out[key] = check(block[key], path)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {name}")
+        elif default is not _ABSENT:
+            out[key] = check(default, path)
+    return out
 
 
-def _require_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, not {value!r}")
+# type(v) is int excludes JSON true/false
+_INT_GE1 = _check(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_INT_GE0 = _check(lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_FLOAT = _check(_finite, "a finite number", float)
+_BOOL = _check(lambda v: isinstance(v, bool), "true or false")
+_ID = _check(lambda v: isinstance(v, str) and not _CSV_SPECIAL.search(v),
+             "a string without a comma, a double quote or a line break")
+
+_PROBLEM = {
+    "auc": {"n": (_INT_GE1, _REQUIRED), "d": (_INT_GE1, _REQUIRED),
+            "p_pos": (_FLOAT, 0.1), "noise_sigma": (_FLOAT, 0.1),
+            # null means R = 100; Infinity drops the constraint
+            "radius": (_check(
+                lambda v: v is None or v == math.inf or (_finite(v) and v > 0),
+                "null, Infinity or a finite positive number"), None)},
+    "policy-eval": {"states": (_INT_GE1, _REQUIRED),
+                    "actions": (_INT_GE1, _REQUIRED),
+                    "transitions": (_INT_GE1, _REQUIRED),
+                    "features": (_INT_GE1, 21), "gamma": (_FLOAT, 0.95),
+                    "tau_reg": (_FLOAT, 1e-4)},
+    "affine-toy": {"dim": (_INT_GE1, 50), "components": (_INT_GE1, 1000),
+                   "mu": (_FLOAT, 1.0), "slope_scale": (_FLOAT, 0.1),
+                   "offset_scale": (_FLOAT, 1.0)},
+}
+
+_PARAMS = {
+    "b": (_INT_GE1, _ABSENT), "p_switch": (_FLOAT, _ABSENT),
+    "omega": (_FLOAT, _ABSENT), "sigma2": (_FLOAT, _ABSENT),
+    "mega_batch": (_check(
+        lambda v: v == "exact" or (type(v) is int and v >= 1),
+        "'exact' or an integer >= 1"), _ABSENT),
+    "share_batches": (_BOOL, _ABSENT), "sgd_coeff": (_FLOAT, _ABSENT),
+}
+
+
+def _params(value, where):
+    if isinstance(value, dict):
+        return _read(value, _PARAMS, where)
+    if value not in ("default:experiment", "default:theory"):
+        raise ConfigError(f"{where} must be an object, 'default:experiment' "
+                          f"or 'default:theory', not {value!r}")
     return value
 
 
-def _require_int(value, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, "
-                          f"not {value!r}")
+def _eta(value, where):
+    resolve_eta(value, 1.0, False)   # its form does not depend on L
     return value
 
 
-def _check_params(spec: dict, where: str) -> None:
-    if "b" in spec:
-        _require_int(spec["b"], f"{where}.b", 1)
-    if spec.get("mega_batch", "exact") != "exact":
-        _require_int(spec["mega_batch"], f"{where}.mega_batch", 1)
-    if "share_batches" in spec:
-        _require_bool(spec["share_batches"], f"{where}.share_batches")
+_ALGORITHM = {"name": (_ID, _ABSENT),   # defaults to the estimator
+              "estimator": (_one_of(*KINDS), _REQUIRED),
+              "params": (_params, "default:experiment"),
+              "eta": (_eta, "theory")}
+
+_RUN = {
+    "epochs": (_check(lambda v: _finite(v) and v >= 1,
+                      "a finite number >= 1", float), 1.0),
+    "record_every_epochs": (_check(lambda v: _finite(v) and v > 0,
+                                   "a finite number > 0", float), 1.0),
+    "seeds": (_list_of(_INT_GE0, distinct=True), [0]),
+    "max_iters": (_INT_GE0, 10_000_000),
+}
 
 
-def _csv_id(value, where: str):
-    if _CSV_SPECIAL.search(str(value)):
-        raise ConfigError(f"{where} {value!r} may not contain a comma, a "
-                          "double quote or a line break")
-    return value
+def read_problem(spec) -> dict:
+    """The problem block checked against its family's table, with the
+    defaults filled in."""
+    family = spec.get("family") if isinstance(spec, dict) else None
+    if not (isinstance(family, str) and family in _PROBLEM):
+        raise ConfigError(f"unknown problem family {family!r}")
+    table = {"family": (_one_of(family), _REQUIRED), "seed": (_INT_GE0, 0),
+             **_PROBLEM[family]}
+    return _read(spec, table, f"problem[{family}]")
 
 
-@dataclass
-class AlgorithmSpec:
-    name: str
-    estimator: str
-    params_spec: object   # "default:experiment" | "default:theory" | dict
-    eta_spec: object      # float | "1/<c>L" | "theory"
+def _problem(value, where):
+    read_problem(value)
+    return dict(value)   # written to the manifest as given
 
 
-@dataclass
-class ExperimentConfig:
-    experiment_id: str
-    problem: dict
-    algorithms: List[AlgorithmSpec]
-    epochs: float
-    record_every_epochs: float
-    seeds: List[int]
-    max_iters: int
-    fix_data: bool
-    timing: str
-    x0_mode: str
+def _algorithms(value, where):
+    algs = _list_of(lambda a, at: _read(a, _ALGORITHM, at))(value, where)
+    for i, alg in enumerate(algs):
+        alg.setdefault("name", alg["estimator"])
+        if isinstance(alg["params"], dict) and "sgd_coeff" in alg["params"] \
+                and alg["estimator"] != "sgd":
+            raise ConfigError(f"{where}[{i}].params.sgd_coeff only applies "
+                              "to the sgd estimator")
+    if len({a["name"] for a in algs}) != len(algs):
+        raise ConfigError(f"{where}: algorithm names must be distinct")
+    return algs
 
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        _require_keys(raw, _TOP_KEYS, "config")
-        for key in ("experiment_id", "problem", "algorithms", "run"):
-            if key not in raw:
-                raise ConfigError(f"missing required key {key!r}")
-        problem = dict(raw["problem"])
-        family = problem.get("family")
-        if family not in _PROBLEM_KEYS:
-            raise ConfigError(f"unknown problem family {family!r}")
-        _require_keys(problem, _PROBLEM_KEYS[family], f"problem[{family}]")
-        run_block = dict(raw["run"])
-        _require_keys(run_block, _RUN_KEYS, "run")
-        seeds = run_block.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError(f"seeds must be a non-empty list, not {seeds!r}")
-        for j, seed in enumerate(seeds):
-            _require_int(seed, f"seeds[{j}]", 0)
-        if len(seeds) != len(set(seeds)):
-            raise ConfigError("seeds must be distinct")
-        if not raw["algorithms"]:
-            raise ConfigError("need at least one algorithm")
-        epochs = float(run_block.get("epochs", 1))
-        if not (math.isfinite(epochs) and epochs >= 1):
-            raise ConfigError("epochs must be finite and >= 1")
-        record_every = float(run_block.get("record_every_epochs", 1.0))
-        if not (math.isfinite(record_every) and record_every > 0):
-            raise ConfigError("record_every_epochs must be finite and > 0")
-        algs = []
-        for i, a in enumerate(raw["algorithms"]):
-            _require_keys(a, _ALG_KEYS, f"algorithms[{i}]")
-            est = a.get("estimator")
-            if est not in KINDS:
-                raise ConfigError(f"unknown estimator {est!r}")
-            params_spec = a.get("params", "default:experiment")
-            if isinstance(params_spec, dict):
-                _require_keys(params_spec, _PARAM_KEYS, f"algorithms[{i}].params")
-                _check_params(params_spec, f"algorithms[{i}].params")
-            elif params_spec not in ("default:experiment", "default:theory"):
-                raise ConfigError(
-                    f"params must be a dict, 'default:experiment', or "
-                    f"'default:theory' (algorithms[{i}])")
-            name = _csv_id(a.get("name", est), f"algorithms[{i}].name")
-            algs.append(AlgorithmSpec(name=name, estimator=est,
-                                      params_spec=params_spec,
-                                      eta_spec=a.get("eta", "theory")))
-        names = [a.name for a in algs]
-        if len(names) != len(set(names)):
-            raise ConfigError("algorithm names must be distinct")
-        timing = raw.get("timing", "off")
-        if timing not in ("off", "wall"):
-            raise ConfigError("timing must be 'off' or 'wall'")
-        x0_mode = raw.get("x0", "zeros")
-        if x0_mode not in ("zeros", "ones"):
-            raise ConfigError("x0 must be 'zeros' or 'ones'")
-        return ExperimentConfig(
-            experiment_id=str(_csv_id(raw["experiment_id"], "experiment_id")),
-            problem=problem,
-            algorithms=algs,
-            epochs=epochs,
-            record_every_epochs=record_every,
-            seeds=seeds,
-            max_iters=_require_int(run_block.get("max_iters", 10_000_000),
-                                   "max_iters", 0),
-            fix_data=_require_bool(raw.get("fix_data", False), "fix_data"),
-            timing=timing,
-            x0_mode=x0_mode,
-        )
+
+_CONFIG = {
+    "experiment_id": (_ID, _REQUIRED),
+    "problem": (_problem, _REQUIRED),
+    "algorithms": (_algorithms, _REQUIRED),
+    "run": (lambda v, where: _read(v, _RUN, where), _REQUIRED),
+    "fix_data": (_BOOL, False),
+    "timing": (_one_of("off", "wall"), "off"),
+    "x0": (_one_of("zeros", "ones"), "zeros"),
+}
+
+
+def load_config(raw) -> dict:
+    """Check a raw experiment config and return it resolved: every block
+    but `problem` with its defaults filled in.  This is what manifest.json
+    records."""
+    return _read(raw, _CONFIG)
 
 
 def build_problem(problem_spec: dict, run_seed: int,
                   fix_data: bool) -> InclusionProblem:
     """Instantiate the problem for one run; data is regenerated per run seed
     unless fix_data is set."""
-    family = problem_spec["family"]
-    base_seed = int(problem_spec.get("seed", 0))
-    data_seed = (base_seed,) if fix_data else (base_seed, int(run_seed))
+    spec = read_problem(problem_spec)
+    family = spec["family"]
+    data_seed = (spec["seed"],) if fix_data else (spec["seed"], run_seed)
     if family == "auc":
-        ds = gen_auc_dataset(int(problem_spec["n"]), int(problem_spec["d"]),
-                             float(problem_spec.get("p_pos", 0.1)),
-                             float(problem_spec.get("noise_sigma", 0.1)),
-                             seed=data_seed)
-        return build_auc_problem(ds, radius=problem_spec.get("radius")).inclusion
+        ds = gen_auc_dataset(spec["n"], spec["d"], spec["p_pos"],
+                             spec["noise_sigma"], seed=data_seed)
+        return build_auc_problem(ds, radius=spec["radius"]).inclusion
     if family == "policy-eval":
-        d = int(problem_spec.get("features", 21))
-        mdp = gen_random_mdp(int(problem_spec["states"]),
-                             int(problem_spec["actions"]), seed=data_seed,
-                             gamma=float(problem_spec.get("gamma", 0.95)))
-        feats = uniform_features(mdp.n_states, d, seed=data_seed + (1,))
-        trans = sample_transitions(mdp, int(problem_spec["transitions"]),
-                                   feats, seed=data_seed + (2,))
-        return build_pe_problem(trans, mdp.gamma,
-                                float(problem_spec.get("tau_reg", 1e-4))).inclusion
-    if family == "affine-toy":
-        return strongly_monotone_affine(
-            int(problem_spec.get("dim", 50)),
-            int(problem_spec.get("components", 1000)),
-            seed=data_seed,
-            mu=float(problem_spec.get("mu", 1.0)),
-            slope_scale=float(problem_spec.get("slope_scale", 0.1)),
-            offset_scale=float(problem_spec.get("offset_scale", 1.0)))
-    raise ConfigError(f"unknown problem family {family!r}")
+        mdp = gen_random_mdp(spec["states"], spec["actions"], seed=data_seed,
+                             gamma=spec["gamma"])
+        feats = uniform_features(mdp.n_states, spec["features"],
+                                 seed=data_seed + (1,))
+        trans = sample_transitions(mdp, spec["transitions"], feats,
+                                   seed=data_seed + (2,))
+        return build_pe_problem(trans, mdp.gamma, spec["tau_reg"]).inclusion
+    return strongly_monotone_affine(
+        spec["dim"], spec["components"], seed=data_seed, mu=spec["mu"],
+        slope_scale=spec["slope_scale"], offset_scale=spec["offset_scale"])
 
 
 def resolve_eta(spec, L: float, biased: bool) -> float:
@@ -248,30 +268,17 @@ def resolve_eta(spec, L: float, biased: bool) -> float:
     raise ConfigError(f"cannot parse eta specification {spec!r}")
 
 
-def resolve_params(alg: AlgorithmSpec, n: int) -> EstimatorParams:
-    if alg.params_spec == "default:experiment":
-        return default_params(alg.estimator, n=n, profile="experiment")
-    if alg.params_spec == "default:theory":
-        return default_params(alg.estimator, n=n, profile="theory")
-    spec = dict(alg.params_spec)
-    kwargs = {}
-    if "b" in spec:
-        kwargs["b"] = spec["b"]
-    if "p_switch" in spec:
-        kwargs["p_switch"] = float(spec["p_switch"])
-    if "omega" in spec:
-        kwargs["omega"] = float(spec["omega"])
-    if "mega_batch" in spec:
-        kwargs["mega_batch"] = spec["mega_batch"]
-    if "share_batches" in spec:
-        kwargs["share_batches"] = spec["share_batches"]
-    if "sigma2" in spec:
-        kwargs["sigma2"] = float(spec["sigma2"])
-    if alg.estimator == "sgd":
-        coeff = float(spec.get("sgd_coeff", 0.01))
-        kwargs["b_schedule"] = increasing_batch_schedule(n, coeff=coeff)
-    elif "sgd_coeff" in spec:
-        raise ConfigError("sgd_coeff only applies to the sgd estimator")
+def resolve_params(alg: dict, n: int) -> EstimatorParams:
+    """EstimatorParams of a resolved algorithm block."""
+    spec = alg["params"]
+    if isinstance(spec, str):
+        return default_params(alg["estimator"], n=n,
+                              profile=spec.partition(":")[2])
+    kwargs = dict(spec)
+    if alg["estimator"] == "sgd":
+        coeff = {"coeff": kwargs.pop("sgd_coeff")} \
+            if "sgd_coeff" in kwargs else {}
+        kwargs["b_schedule"] = increasing_batch_schedule(n, **coeff)
     return EstimatorParams(**kwargs)
 
 
@@ -283,24 +290,24 @@ class CellResult:
     resolution: dict
 
 
-def _run_cell(config: ExperimentConfig, alg: AlgorithmSpec,
-              seed: int) -> CellResult:
-    problem = build_problem(config.problem, seed, config.fix_data)
+def _run_cell(config: dict, alg_index: int, seed: int) -> CellResult:
+    alg, run_block = config["algorithms"][alg_index], config["run"]
+    estimator = alg["estimator"]
+    problem = build_problem(config["problem"], seed, config["fix_data"])
     n = problem.n_components
     params = resolve_params(alg, n)
-    biased = alg.estimator in BIASED_KINDS
-    eta = resolve_eta(alg.eta_spec, problem.lipschitz, biased)
-    x0 = np.zeros(problem.dim) if config.x0_mode == "zeros" \
+    eta = resolve_eta(alg["eta"], problem.lipschitz,
+                      estimator in BIASED_KINDS)
+    x0 = np.zeros(problem.dim) if config["x0"] == "zeros" \
         else np.ones(problem.dim)
-    alg_index = [a.name for a in config.algorithms].index(alg.name)
-    est = make_estimator(alg.estimator, params, problem, x0,
+    est = make_estimator(estimator, params, problem, x0,
                          seed=(0xF00D, alg_index, seed))
-    budget = int(round(config.epochs * n))
+    max_iters = run_block["max_iters"]
     solver_cfg = SolverConfig(
-        eta=eta, max_iters=config.max_iters, seed=seed,
-        record_every=config.max_iters + 1,
-        record_calls=config.record_every_epochs * n,
-        max_calls=budget)
+        eta=eta, max_iters=max_iters, seed=seed,
+        record_every=max_iters + 1,
+        record_calls=run_block["record_every_epochs"] * n,
+        max_calls=round(run_block["epochs"] * n))
     diverged = None
     try:
         trace = run(problem, est, solver_cfg)
@@ -312,14 +319,15 @@ def _run_cell(config: ExperimentConfig, alg: AlgorithmSpec,
                     "last_finite_iteration": last.iteration,
                     "last_finite_rel_residual": last.rel_residual}
     rows = [(rec.oracle_calls / n, rec.iteration, rec.rel_residual,
-             rec.abs_residual, rec.wall_ms if config.timing == "wall" else 0.0)
+             rec.abs_residual,
+             rec.wall_ms if config["timing"] == "wall" else 0.0)
             for rec in trace.records]
-    card = theory_card(alg.estimator, params, problem.lipschitz, n=n)
+    card = theory_card(estimator, params, problem.lipschitz, n=n)
     report = validate_rates(card, problem.lipschitz, eta)
     resolution = {
-        "algorithm": alg.name,
+        "algorithm": alg["name"],
         "seed": seed,
-        "estimator": alg.estimator,
+        "estimator": estimator,
         "lipschitz": problem.lipschitz,
         "eta": eta,
         "iterations": trace.iterations_run,
@@ -328,14 +336,14 @@ def _run_cell(config: ExperimentConfig, alg: AlgorithmSpec,
         "conditions": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
                         "passed": c.passed} for c in report.checks],
     }
-    if alg.estimator in ("svrg", "hsvrg"):
+    if estimator in ("svrg", "hsvrg"):
         # conventional accounting (amortized anchor + two batch terms) next
         # to the exact counters, for cost-model comparisons
         p = params.p_switch
         resolution["nominal_cost_per_iter"] = n * p + 2.0 * (1.0 - p) * params.b
     if diverged is not None:
         resolution["diverged"] = diverged
-    return CellResult(alg.name, seed, rows, resolution)
+    return CellResult(alg["name"], seed, rows, resolution)
 
 
 def _fmt(v: float) -> str:
@@ -406,8 +414,7 @@ def run_experiment(config, out_dir):
     After all outputs are written, DivergenceError is raised if any cell
     diverged.
     """
-    if isinstance(config, dict):
-        config = ExperimentConfig.from_dict(config)
+    config = load_config(config)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -417,29 +424,17 @@ def run_experiment(config, out_dir):
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
 
-    cells = [_run_cell(config, alg, seed)
-             for alg in config.algorithms for seed in config.seeds]
+    cells = [_run_cell(config, i, seed)
+             for i in range(len(config["algorithms"]))
+             for seed in config["run"]["seeds"]]
 
-    _write_runs_csv(out / "runs.csv", config.experiment_id, cells)
-    _write_summary_csv(out / "summary.csv", config.experiment_id, cells,
-                       config.epochs)
-    manifest = {
-        "version": __version__,
-        "experiment_id": config.experiment_id,
-        "problem": config.problem,
-        "run": {"epochs": config.epochs,
-                "record_every_epochs": config.record_every_epochs,
-                "seeds": config.seeds, "max_iters": config.max_iters},
-        "fix_data": config.fix_data,
-        "timing": config.timing,
-        "x0": config.x0_mode,
-        "algorithms": [{"name": a.name, "estimator": a.estimator,
-                        "params": a.params_spec if not isinstance(a.params_spec, dict)
-                        else dict(a.params_spec),
-                        "eta": a.eta_spec} for a in config.algorithms],
-        "cells": sorted((c.resolution for c in cells),
-                        key=lambda r: (r["algorithm"], r["seed"])),
-    }
+    experiment_id = config["experiment_id"]
+    _write_runs_csv(out / "runs.csv", experiment_id, cells)
+    _write_summary_csv(out / "summary.csv", experiment_id, cells,
+                       config["run"]["epochs"])
+    manifest = {"version": __version__, **config,
+                "cells": sorted((c.resolution for c in cells),
+                                key=lambda r: (r["algorithm"], r["seed"]))}
     with open(out / "manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

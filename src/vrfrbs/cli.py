@@ -63,6 +63,10 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 2 or args.seed < 0:
+        print("config error: verify needs --trials >= 2 and --seed >= 0",
+              file=sys.stderr)
+        return EXIT_CONFIG
     kind = args.estimator
     problem = linear_toy(n=10, dim=4, seed=args.seed)
     params = default_params(kind, n=10, profile="experiment")

@@ -235,9 +235,15 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
             rel = 0.0 if abs0 == 0.0 else a / abs0
             wall = (time.perf_counter() - t0) * 1e3
             records.append(TraceRecord(iterations, counter.count, a, rel, wall))
-            if next_call_mark is not None:
-                while counter.count >= next_call_mark:
-                    next_call_mark += config.record_calls
+            if next_call_mark is not None and counter.count >= next_call_mark:
+                # pass every crossed mark at once: adding a record_calls
+                # below the mark's float spacing would never pass one.  The
+                # cap holds if the quotient overflows to inf.
+                crossed = (counter.count - next_call_mark) \
+                    // config.record_calls + 1
+                next_call_mark = min(
+                    next_call_mark + crossed * config.record_calls,
+                    counter.count + config.record_calls)
             if config.stop_tol > 0.0 and rel <= config.stop_tol:
                 stopping = True
         if stopping or iterations >= config.max_iters:

@@ -290,7 +290,10 @@ class _Moments:
 
 def _mc_moments(history: FrozenHistory, trials: int, seed,
                 squared: bool = False) -> _Moments:
-    """Moments of the error vectors e_k, or of ||e_k||^2 when `squared`."""
+    """Moments of the error vectors e_k, or of ||e_k||^2 when `squared`.
+    A standard error needs at least two trials."""
+    if trials < 2:
+        raise ValueError(f"Monte-Carlo checks need trials >= 2, not {trials}")
     moments = _Moments()
     for err in _mc_error_chunks(history, trials, seed):
         moments.add(np.einsum("ij,ij->i", err, err) if squared else err)
@@ -319,8 +322,7 @@ def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
                         passed=dn <= tol, threshold=threshold, exact=True)
     mom = _mc_moments(history, trials, seed)
     count = mom.count
-    se = math.sqrt(float(mom.m2.sum()) / (count - 1) / count) \
-        if count > 1 else 0.0
+    se = math.sqrt(float(mom.m2.sum()) / (count - 1) / count)
     dn = float(np.linalg.norm(mom.mean - target))
     if se == 0.0:
         margin = 0.0 if dn == 0.0 else math.inf
@@ -387,7 +389,7 @@ def check_variance_recursion(history: FrozenHistory, trials: int = 100_000,
         + history.delta_k
     mom = _mc_moments(history, trials, seed, squared=True)
     count, mean = mom.count, float(mom.mean)
-    se = math.sqrt(float(mom.m2) / (count - 1) / count) if count > 1 else 0.0
+    se = math.sqrt(float(mom.m2) / (count - 1) / count)
     if se == 0.0:
         margin = -math.inf if mean <= rhs else math.inf
     else:

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrfrbs.bench import (CSV_HEADER, ConfigError, ExperimentConfig,
-                          read_runs_csv, resolve_eta, run_experiment,
-                          summarize)
+import vrfrbs
+from vrfrbs.bench import (CSV_HEADER, ConfigError, load_config, read_runs_csv,
+                          resolve_eta, run_experiment, summarize)
 from vrfrbs.cli import main as cli_main
 from vrfrbs.estimators import KINDS
 
@@ -33,18 +37,18 @@ def toy_config(**overrides):
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
-        ExperimentConfig.from_dict(toy_config(bogus=1))
+        load_config(toy_config(bogus=1))
     bad = toy_config()
     bad["problem"]["extra"] = 2
     with pytest.raises(ConfigError, match="unknown key"):
-        ExperimentConfig.from_dict(bad)
+        load_config(bad)
 
 
 def test_duplicate_seeds_rejected():
     bad = toy_config()
     bad["run"]["seeds"] = [0, 0]
     with pytest.raises(ConfigError, match="distinct"):
-        ExperimentConfig.from_dict(bad)
+        load_config(bad)
 
 
 def test_eta_parsing():
@@ -80,7 +84,7 @@ def test_run_block_rejects_bad_lengths(key, value):
     bad = toy_config()
     bad["run"][key] = value
     with pytest.raises(ConfigError, match=key):
-        ExperimentConfig.from_dict(bad)
+        load_config(bad)
 
 
 @pytest.mark.parametrize("block,key,value", [
@@ -93,14 +97,41 @@ def test_run_block_rejects_bad_lengths(key, value):
     ("params", "b", True),
     ("params", "mega_batch", True),
     ("run", "max_iters", 2.5),
+    ("problem", "dim", 2.5),
+    ("problem", "seed", 1.5),
+    ("problem", "mu", "2"),
+    ("params", "p_switch", "0.5"),
+    ("params", "p_switch", True),
+    ("params", "sigma2", "1"),
+    ("run", "epochs", True),
+    ("run", "epochs", "2"),
+    ("run", "record_every_epochs", "1"),
 ])
 def test_mistyped_values_rejected(block, key, value):
     bad = toy_config()
-    target = {"config": bad, "run": bad["run"],
+    target = {"config": bad, "run": bad["run"], "problem": bad["problem"],
               "params": bad["algorithms"][1]["params"]}[block]
     target[key] = value
     with pytest.raises(ConfigError, match=key):
-        ExperimentConfig.from_dict(bad)
+        load_config(bad)
+
+
+@pytest.mark.parametrize("radius", [-math.inf, 0, -1.0, math.nan, "100"])
+def test_auc_radius_must_be_positive_or_unbounded(radius):
+    bad = toy_config(problem={"family": "auc", "n": 50, "d": 3,
+                              "radius": radius})
+    with pytest.raises(ConfigError, match="radius"):
+        load_config(bad)
+    for good in (None, math.inf, 2.5):
+        load_config(toy_config(problem={"family": "auc", "n": 50, "d": 3,
+                                        "radius": good}))
+
+
+def test_sgd_coeff_on_other_estimators_rejected_when_read():
+    bad = toy_config()
+    bad["algorithms"][1]["params"]["sgd_coeff"] = 0.02
+    with pytest.raises(ConfigError, match="sgd_coeff"):
+        load_config(bad)
 
 
 @pytest.mark.parametrize("field", ["experiment_id", "name"])
@@ -112,7 +143,7 @@ def test_csv_separators_in_ids_rejected(field, char):
     else:
         bad["algorithms"][1]["name"] = f"svrg{char}x"
     with pytest.raises(ConfigError, match="comma"):
-        ExperimentConfig.from_dict(bad)
+        load_config(bad)
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -173,6 +204,23 @@ def test_manifest_echoes_config(tmp_path):
     for cell in manifest["cells"]:
         assert cell["eta"] > 0
         assert cell["oracle_calls"] >= 10 * 12
+
+
+def test_manifest_records_every_default(tmp_path):
+    cfg = {"experiment_id": "defaults", "problem": {"family": "affine-toy"},
+           "algorithms": [{"estimator": "svrg"}], "run": {}}
+    run_experiment(cfg, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["problem"] == {"family": "affine-toy"}
+    assert manifest["run"] == {"epochs": 1.0, "record_every_epochs": 1.0,
+                               "max_iters": 10_000_000, "seeds": [0]}
+    assert isinstance(manifest["run"]["epochs"], float)
+    assert isinstance(manifest["run"]["record_every_epochs"], float)
+    assert manifest["algorithms"] == [{"name": "svrg", "estimator": "svrg",
+                                       "params": "default:experiment",
+                                       "eta": "theory"}]
+    assert (manifest["fix_data"], manifest["timing"], manifest["x0"]) \
+        == (False, "off", "zeros")
 
 
 def test_fix_data_shares_the_dataset(tmp_path):
@@ -298,6 +346,33 @@ def test_cli_verify_smoke(capsys):
     assert all(l.endswith("pass") for l in lines)
 
 
+@pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-5"],
+                                  ["--trials", "1"], ["--seed", "-1"]])
+def test_cli_verify_rejects_empty_trials_and_negative_seed(args, capsys):
+    for kind in ("svrg", "sarah"):
+        assert cli_main(["verify", "--estimator", kind] + args) == 2
+    assert "pass" not in capsys.readouterr().out
+
+
+def test_cli_run_tiny_record_cadence_terminates(tmp_path):
+    """A cadence below the float spacing of the call count records once
+    per iteration instead of hanging."""
+    cfg = {"experiment_id": "cadence",
+           "problem": {"family": "affine-toy", "dim": 3, "components": 10},
+           "algorithms": [{"estimator": "full"}],
+           "run": {"epochs": 4, "record_every_epochs": 1e-300}}
+    cfg_path = tmp_path / "cadence.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(vrfrbs.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vrfrbs.cli", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "o")], env=env, timeout=120)
+    assert proc.returncode == 0
+    iters = [r["iter"] for r in read_runs_csv(tmp_path / "o" / "runs.csv")]
+    assert iters == list(range(len(iters))) and len(iters) > 2
+
+
 def test_cli_gen_data_roundtrip(tmp_path):
     out = tmp_path / "auc.txt"
     assert cli_main(["gen-data", "--family", "auc", "--out", str(out),
@@ -337,7 +412,9 @@ def small_toy_configs(draw):
     """Affine-toy configs (dim <= 6, <= 40 components, <= 3 epochs) in which
     at most one field holds a malformed scalar."""
     bad = draw(st.sampled_from([None, "b", "mega_batch", "share_batches",
-                                "fix_data", "seeds", "seeds[0]"]))
+                                "fix_data", "seeds", "seeds[0]", "dim",
+                                "components", "seed", "mu", "p_switch",
+                                "omega"]))
 
     def value(field, good):
         return draw(_MALFORMED if field == bad else good)
@@ -347,6 +424,9 @@ def small_toy_configs(draw):
     for i, kind in enumerate(draw(st.lists(st.sampled_from(KINDS),
                                            min_size=1, max_size=2))):
         params = dict(_KIND_PARAMS.get(kind, {}))
+        for key in ("p_switch", "omega"):
+            if key in params or bad == key:
+                params[key] = value(key, st.just(0.5))
         if kind != "full" and (bad == "b" or draw(st.booleans())):
             params["b"] = value("b", st.integers(1, n))
         if kind in ("svrg", "sarah", "hsgd", "hsvrg") and \
@@ -364,8 +444,11 @@ def small_toy_configs(draw):
                                         max_size=2, unique=True))
     return {
         "experiment_id": "prop",
-        "problem": {"family": "affine-toy", "dim": draw(st.integers(1, 6)),
-                    "components": n, "seed": draw(st.integers(0, 3))},
+        "problem": {"family": "affine-toy",
+                    "dim": value("dim", st.integers(1, 6)),
+                    "components": value("components", st.just(n)),
+                    "seed": value("seed", st.integers(0, 3)),
+                    "mu": value("mu", st.floats(0.5, 2.0))},
         "algorithms": algorithms,
         "fix_data": value("fix_data", st.booleans()),
         "run": {"epochs": draw(st.floats(1.0, 3.0)),

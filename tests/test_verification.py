@@ -124,6 +124,22 @@ def test_biased_mc_smoke(kind, params):
     assert rep.passed, rep.to_line()
 
 
+@pytest.mark.parametrize("trials", [1, 0, -5])
+def test_monte_carlo_checks_need_two_trials(trials):
+    svrg = history_for("svrg", EstimatorParams(b=1, p_switch=0.3), n=5)
+    sarah = history_for("sarah", EstimatorParams(b=1, p_switch=0.5), n=3)
+    for check, hist in ((check_unbiased, svrg),
+                        (check_bias_recursion, sarah),
+                        (check_variance_recursion, svrg),
+                        (check_variance_recursion, sarah)):
+        with pytest.raises(ValueError, match="trials"):
+            check(hist, trials=trials, seed=0)
+    # enumeration sums every outcome and ignores trials
+    assert check_unbiased(svrg, trials=trials, mode="enumerate").passed
+    assert check_bias_recursion(sarah, trials=trials,
+                                mode="enumerate").passed
+
+
 def test_variance_recursion_full_batch_both_sides_zero():
     hist = history_for("full", EstimatorParams(), n=4)
     rep = check_variance_recursion(hist, trials=100, seed=0)
