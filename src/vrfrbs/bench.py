@@ -486,7 +486,10 @@ def summarize(run_dir, out_path=None):
     Writes aggregate.csv into run_dir (or out_path) and returns the rows.
     """
     run_dir = Path(run_dir)
-    rows = read_runs_csv(run_dir / "runs.csv")
+    path = run_dir / "runs.csv"
+    rows = read_runs_csv(path)
+    if not rows:
+        raise ConfigError(f"{path} has no data rows to summarize")
     points = [(r["algorithm"], r["seed"], r["epoch"], r["rel_residual"])
               for r in rows]
     max_epoch = max(row["epoch"] for row in rows)

@@ -190,7 +190,7 @@ def _validate_params(kind: str, params: EstimatorParams,
 # Step evaluation.  All randomness is materialized in `draws` first, so the
 # same deterministic core serves the RNG path, the exact enumeration used by
 # the verification module, and its Monte-Carlo checks, which evaluate many
-# independent draws of one step at once along a leading trial axis.
+# independent draws of one step at once along a trial axis.
 # ---------------------------------------------------------------------------
 
 class _StepEval:
@@ -198,8 +198,11 @@ class _StepEval:
 
     Every evaluation is charged as it is made: one call per sample for
     batch values, n for an exact mean.  `trials` is None for one step with
-    1-D draws, or the number T of trials whose draws carry a leading axis
-    of length T; batch means are then (T, dim) arrays.
+    1-D draws, or the number T of trials whose samples are batch-major
+    (b, T, ...) arrays (see `_draw_batch`); batch values are then
+    (b, T, dim) and batch means (T, dim).  A mean reduces the leading batch
+    axis, which numpy sums row after row, in the same order as a reduction
+    over the middle axis of (T, b, dim) and several times faster.
     """
 
     def __init__(self, state: EstimatorState, trials: Optional[int] = None):
@@ -213,12 +216,12 @@ class _StepEval:
         if self.trials is None:
             self.calls += len(idx)
             return self.op.batch_mean(point, idx)
-        return self.components(point, idx).mean(axis=1)
+        return self.components(point, idx).mean(axis=0)
 
     def components(self, point: np.ndarray, idx) -> np.ndarray:
         """Per-sample values at `point`, charged one call per sample; with
-        trials, one evaluation of the flattened (T, b) batch reshaped to
-        (T, b, dim)."""
+        trials, one evaluation of the flattened (b, T) batch reshaped to
+        (b, T, dim)."""
         if self.trials is None:
             self.calls += len(idx)
             return self.op.batch_components(point, idx)
@@ -244,12 +247,13 @@ class _StepEval:
 
 def _draw_batch(state: EstimatorState, size: int,
                 trials: Optional[int] = None):
-    """`size` samples, or (trials, size, ...) samples drawn in one call, so
-    trial t owns rows [t * size, (t + 1) * size) of the stream."""
+    """`size` samples, or `size * trials` samples drawn in one call, of which
+    trial t owns rows [t * size, (t + 1) * size) of the stream, returned as
+    a batch-major (size, trials, ...) view: column t is trial t's batch."""
     if trials is None:
         return state.problem.forward.draw(state.rng, int(size))
     sample = state.problem.forward.draw(state.rng, trials * int(size))
-    return sample.reshape((trials, int(size)) + sample.shape[1:])
+    return sample.reshape((trials, int(size)) + sample.shape[1:]).swapaxes(0, 1)
 
 
 def _sgd_batch_size(state: EstimatorState, x, x1, x2) -> int:
@@ -279,9 +283,10 @@ def _make_draws(state: EstimatorState, x, x1, x2,
     """Materialize this step's randomness.  Fixed order: switch coin, mega
     sample, recursion batch, blended batch.
 
-    With `trials` = T every draw gets a leading trial axis (coins (T,),
-    samples (T, size, ...)), and each sample is drawn for all T trials,
-    whether or not a trial's coin uses it.
+    With `trials` = T every draw gets a trial axis: coins are (T,) and
+    samples batch-major (size, T, ...), so trial t's draws are `coin[t]`
+    and `batch[:, t]`.  Each draw is one call on the stream for all T
+    trials, made whether or not a trial's coin uses it.
     """
     kind, pm, rng = state.kind, state.params, state.rng
     batched = trials is not None
@@ -384,8 +389,9 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
     Returns (value, calls).  With 1-D draws (`trials` None) this is one
     step: it mutates snapshot/table/kept-value state.  With draws from
     `_make_draws(..., trials=T)` it evaluates T independent outcomes of the
-    same step and returns a (T, dim) value: every batch is evaluated for all
-    trials in one oracle call, coin branches become per-trial selections,
+    same step and returns a (T, dim) value: every batch-major (b, T) batch
+    is evaluated for all trials in one oracle call and averaged over its
+    leading axis, coin branches become per-trial selections,
     and an exact evaluation (snapshot refresh, sarah reset) runs once for
     all trials.  The trials' futures differ, so a batched step leaves the
     snapshot and the saga table as they were.
@@ -415,8 +421,8 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         idx = draws["batch"]
         comp_x1 = ev.components(x1, idx)
         gx = ev.mean(x, idx)
-        table_batch = state.table[idx].mean(axis=-2)
-        value = state.table_mean - table_batch + 2.0 * gx - comp_x1.mean(axis=-2)
+        table_batch = state.table[idx].mean(axis=0)
+        value = state.table_mean - table_batch + 2.0 * gx - comp_x1.mean(axis=0)
         if trials is None:
             uniq, first = np.unique(idx, return_index=True)
             new_rows = comp_x1[first]

@@ -9,7 +9,7 @@ next step's draws:
 
 * Monte-Carlo mode draws every trial's randomness from one stream per check
   and evaluates the step for a chunk of trials at once (the production
-  step, batched along a leading trial axis), then reports the margin in
+  step, batched along a trial axis), then reports the margin in
   standard errors.
 * Enumeration mode (tiny instances: n <= 6 components, batches <= 2) sums
   over every batch/switch outcome and checks the identity exactly.

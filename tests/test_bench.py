@@ -297,6 +297,15 @@ def test_cli_run_and_summarize(tmp_path):
     assert (out / "aggregate.csv").exists()
 
 
+def test_cli_summarize_header_only_runs_csv(tmp_path, capsys):
+    run_experiment(toy_config(), tmp_path)
+    path = tmp_path / "runs.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    assert cli_main(["summarize", "--dir", str(tmp_path)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(toy_config(bogus=True)))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vrfrbs.core import InclusionProblem, StochasticOracle, identity_resolvent
-from vrfrbs.estimators import (EstimatorParams, estimator_step,
-                               make_estimator, theory_card)
+from vrfrbs.estimators import (EstimatorParams, _apply_step, _make_draws,
+                               estimator_step, make_estimator, theory_card)
+from vrfrbs.verification import _next_step
 
 
 def gaussian_affine_oracle(dim=3, noise=0.5, seed=0):
@@ -50,6 +51,36 @@ def test_oracle_estimators_step_and_count(kind, params):
         total += calls
         assert np.all(np.isfinite(value))
     assert st.calls == total
+
+
+@pytest.mark.parametrize("kind", ["svrg", "sarah"])
+def test_oracle_trial_batched_step_matches_one_step(kind):
+    """On (m, dim) oracle samples the trial-batched step equals the
+    one-step path bit for bit, trial by trial: trial t's samples are the
+    batch-major columns [:, t]."""
+    problem, _, _ = gaussian_affine_oracle()
+    params = EstimatorParams(b=4, p_switch=0.4, mega_batch=6)
+    rng = np.random.default_rng(3)
+    pts = [rng.standard_normal(3)]
+    for _ in range(4):
+        pts.append(pts[-1] + 0.3 * rng.standard_normal(3))
+    frozen = make_estimator(kind, params, problem, pts[0], seed=2)
+    for k in range(1, 3):
+        estimator_step(frozen, pts[k], pts[k - 1], pts[max(k - 2, 0)])
+    points = (pts[3], pts[2], pts[1])
+    trials = 150
+    state = _next_step(frozen, np.random.default_rng(8))
+    draws = _make_draws(state, *points, trials=trials)
+    assert draws["mega"].shape == (6, trials, 3)
+    assert draws["batch"].shape == (4, trials, 3)
+    assert 0 < draws["coin"].sum() < trials  # both branches exercised
+    values, _ = _apply_step(state, *points, draws, trials=trials)
+    assert values.shape == (trials, 3)
+    for t in range(trials):
+        one = {key: bool(d[t]) if key == "coin" else d[:, t]
+               for key, d in draws.items()}
+        value, _ = _apply_step(_next_step(frozen), *points, one)
+        np.testing.assert_array_equal(values[t], value, err_msg=f"{kind} {t}")
 
 
 def test_oracle_exact_anchor_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vrfrbs import problems
 from vrfrbs.core import apply_resolvent, eval_full
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
@@ -401,6 +402,38 @@ def test_row_operator_batch_mean_matches_components(family):
         assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct), m
     direct = op.batch_components(x, np.arange(n)).mean(axis=0)
     assert np.linalg.norm(op.full(x) - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+# --- dense affine toys -------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: problems.linear_toy(n=10, dim=4, seed=2),
+    lambda: problems.linear_toy(n=50, dim=7, seed=3),
+    lambda: problems.bilinear_problem(2),
+], ids=["linear-toy", "linear-toy-50", "bilinear"])
+def test_affine_toy_components_match_per_sample_products(build, monkeypatch):
+    """Evaluating all n components and gathering is bit-identical to one
+    product B[i] @ x + c[i] per requested sample."""
+    given = {}
+    make = problems.affine_problem_from_components
+
+    def spy(B, c, *args, **kwargs):
+        given["B"], given["c"] = np.asarray(B, float), np.asarray(c, float)
+        return make(B, c, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "affine_problem_from_components", spy)
+    op = build().forward
+    B, c, n = given["B"], given["c"], op.n
+    rng = np.random.default_rng(4)
+    batches = [rng.integers(0, n, size=n // 2), np.arange(n),
+               rng.integers(0, n, size=40 * n), np.array([0, 0, n - 1, 0]),
+               np.zeros(0, dtype=int)]
+    for idx in batches:
+        for scale in (1e-8, 1.0, 1e8):
+            x = scale * rng.standard_normal(op.dim)
+            got = op.batch_components(x, idx)
+            assert got.shape == (len(idx), op.dim)
+            np.testing.assert_array_equal(got, B[idx] @ x + c[idx])
 
 
 def test_bilinear_problem_rotation():

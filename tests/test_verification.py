@@ -206,8 +206,9 @@ BATCHED_CASES = [(kind, default_params(kind, n=10, profile="experiment"))
                          ids=[f"{k}-{i}" for i, (k, _) in
                               enumerate(BATCHED_CASES)])
 def test_batched_step_matches_scalar_step(kind, params):
-    """The trial-batched step equals the one-step path, trial by trial, on
-    a fresh copy of the frozen state with that trial's draws."""
+    """The trial-batched step equals the one-step path bit for bit, trial
+    by trial, on a fresh copy of the frozen state with that trial's draws
+    (coins `coin[t]`, batch-major samples `[:, t]`)."""
     hist = history_for(kind, params)
     points = (hist.x_k, hist.x_km1, hist.x_km2)
     trials = 200
@@ -218,11 +219,10 @@ def test_batched_step_matches_scalar_step(kind, params):
     if "coin" in draws:
         assert 0 < draws["coin"].sum() < trials  # both branches exercised
     for t in range(trials):
-        one = {key: bool(d[t]) if key == "coin" else d[t]
+        one = {key: bool(d[t]) if key == "coin" else d[:, t]
                for key, d in draws.items()}
         value, _ = _apply_step(_next_step(hist.state), *points, one)
-        assert np.linalg.norm(values[t] - value) \
-            <= 1e-12 * np.linalg.norm(value), (kind, t)
+        np.testing.assert_array_equal(values[t], value, err_msg=f"{kind} {t}")
 
 
 @pytest.mark.parametrize("squared", [False, True])
