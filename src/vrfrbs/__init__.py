@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .core import (CallCounter, FiniteSumOperator, InclusionProblem,
                    InfeasibleParametersError, Resolvent, RowOperator,
                    StochasticOracle, UnsupportedConfigError, apply_resolvent,
-                   ball_box_resolvent, custom_resolvent, eval_full,
-                   fb_residual, identity_resolvent, soft_threshold_resolvent)
+                   ball_box_resolvent, eval_full, fb_residual,
+                   identity_resolvent, soft_threshold_resolvent)
 from .estimators import (BIASED_KINDS, KINDS, UNBIASED_KINDS, EstimatorParams,
                          EstimatorState, TheoryCard, default_params,
                          estimator_step, increasing_batch_schedule,
@@ -21,7 +21,7 @@ __all__ = [
     "CallCounter", "FiniteSumOperator", "RowOperator", "StochasticOracle",
     "InclusionProblem", "Resolvent", "UnsupportedConfigError",
     "InfeasibleParametersError", "apply_resolvent", "ball_box_resolvent",
-    "custom_resolvent", "identity_resolvent", "soft_threshold_resolvent",
+    "identity_resolvent", "soft_threshold_resolvent",
     "eval_full", "fb_residual",
     "KINDS", "UNBIASED_KINDS", "BIASED_KINDS", "EstimatorParams",
     "EstimatorState", "TheoryCard", "make_estimator", "estimator_step",

@@ -33,9 +33,10 @@ import numpy as np
 
 from . import __version__
 from .core import InclusionProblem
-from .estimators import (BIASED_KINDS, KINDS, EstimatorParams,
-                         default_params, increasing_batch_schedule,
-                         make_estimator, theory_card)
+from .estimators import (_NEEDS_OMEGA, _NEEDS_SWITCH, BIASED_KINDS, FULL,
+                         KINDS, SAGA, SGD, EstimatorParams, default_params,
+                         increasing_batch_schedule, make_estimator,
+                         theory_card)
 from .problems import (build_auc_problem, build_pe_problem, gen_auc_dataset,
                        gen_random_mdp, sample_transitions,
                        strongly_monotone_affine, uniform_features)
@@ -101,7 +102,8 @@ def _read(block, table, where=""):
         raise ConfigError(f"{name} must be a JSON object, not {block!r}")
     unknown = set(block) - set(table)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name}, "
+                          f"which takes {sorted(table) or 'no keys'}")
     out = {}
     for key, (check, default) in table.items():
         path = f"{where}.{key}".lstrip(".")
@@ -141,7 +143,7 @@ _PROBLEM = {
 
 _PARAMS = {
     "b": (_INT_GE1, _ABSENT), "p_switch": (_FLOAT, _ABSENT),
-    "omega": (_FLOAT, _ABSENT), "sigma2": (_FLOAT, _ABSENT),
+    "omega": (_FLOAT, _ABSENT),
     "mega_batch": (_check(
         lambda v: v == "exact" or (type(v) is int and v >= 1),
         "'exact' or an integer >= 1"), _ABSENT),
@@ -149,10 +151,25 @@ _PARAMS = {
 }
 
 
+def _params_table(kind):
+    """The _PARAMS entries `kind` reads.  sgd's batch is its schedule, so
+    it reads sgd_coeff and not b; saga has no anchor to mega-batch."""
+    if kind == FULL:
+        keys = ()
+    elif kind == SGD:
+        keys = ("sgd_coeff",)
+    else:
+        keys = ("b",) + ("p_switch",) * (kind in _NEEDS_SWITCH) \
+            + ("omega",) * (kind in _NEEDS_OMEGA) \
+            + ("mega_batch",) * (kind != SAGA) \
+            + ("share_batches",) * (kind in _NEEDS_OMEGA)
+    return {key: _PARAMS[key] for key in keys}
+
+
 def _params(value, where):
-    if isinstance(value, dict):
-        return _read(value, _PARAMS, where)
-    if value not in ("default:experiment", "default:theory"):
+    # an object is read in _algorithms, against its estimator's keys
+    if not isinstance(value, dict) and \
+            value not in ("default:experiment", "default:theory"):
         raise ConfigError(f"{where} must be an object, 'default:experiment' "
                           f"or 'default:theory', not {value!r}")
     return value
@@ -198,10 +215,10 @@ def _algorithms(value, where):
     algs = _list_of(lambda a, at: _read(a, _ALGORITHM, at))(value, where)
     for i, alg in enumerate(algs):
         alg.setdefault("name", alg["estimator"])
-        if isinstance(alg["params"], dict) and "sgd_coeff" in alg["params"] \
-                and alg["estimator"] != "sgd":
-            raise ConfigError(f"{where}[{i}].params.sgd_coeff only applies "
-                              "to the sgd estimator")
+        if isinstance(alg["params"], dict):
+            alg["params"] = _read(alg["params"],
+                                  _params_table(alg["estimator"]),
+                                  f"{where}[{i}].params")
     if len({a["name"] for a in algs}) != len(algs):
         raise ConfigError(f"{where}: algorithm names must be distinct")
     return algs
@@ -275,7 +292,7 @@ def resolve_params(alg: dict, n: int) -> EstimatorParams:
         return default_params(alg["estimator"], n=n,
                               profile=spec.partition(":")[2])
     kwargs = dict(spec)
-    if alg["estimator"] == "sgd":
+    if alg["estimator"] == SGD:
         coeff = {"coeff": kwargs.pop("sgd_coeff")} \
             if "sgd_coeff" in kwargs else {}
         kwargs["b_schedule"] = increasing_batch_schedule(n, **coeff)

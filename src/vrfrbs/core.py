@@ -57,15 +57,12 @@ class FiniteSumOperator:
             i in idx (duplicates allowed, order preserved).
         full_eval: optional closed form for the exact mean (affine fast
             path).  Epoch accounting still charges n per full evaluation.
-        lipschitz: optional bound L with
-            (1/n) sum_i ||G_i x - G_i y||^2 <= L^2 ||x - y||^2.
     """
 
     n: int
     dim: int
     batch_components: Callable[[np.ndarray, np.ndarray], np.ndarray]
     full_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lipschitz: Optional[float] = None
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """I.i.d. uniform component indices, sampled with replacement."""
@@ -102,8 +99,6 @@ class RowOperator:
         full_eval: closed form for the exact mean.  Epoch accounting still
             charges n per full evaluation.
         common: optional term shared by every component.
-        lipschitz: optional average-Lipschitz bound, as for
-            FiniteSumOperator.
     """
 
     n: int
@@ -112,7 +107,6 @@ class RowOperator:
     coefficients: Callable[..., Tuple[np.ndarray, ...]]
     full_eval: Callable[[np.ndarray], np.ndarray]
     common: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lipschitz: Optional[float] = None
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """I.i.d. uniform component indices, sampled with replacement."""
@@ -165,8 +159,6 @@ class StochasticOracle:
     dim: int
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (x, xi_batch) -> (m, dim)
-    variance_bound: float = 0.0
-    lipschitz: Optional[float] = None
     exact_mean: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     n = None  # no component table
@@ -221,9 +213,8 @@ class Resolvent:
                          to [-box_bounds[j], box_bounds[j]].
         "soft-threshold" componentwise shrinkage by eta*weight on the first
                          theta_dim coordinates, identity elsewhere.
-        "custom"         user-supplied func(z, eta).
 
-    All built-in kinds are nonexpansive projections/proximal maps.
+    All kinds are nonexpansive projections/proximal maps.
     """
 
     kind: str
@@ -231,7 +222,6 @@ class Resolvent:
     box_bounds: Optional[np.ndarray] = None
     weight: float = 0.0
     theta_dim: int = 0
-    func: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
 
 def identity_resolvent() -> Resolvent:
@@ -252,10 +242,6 @@ def soft_threshold_resolvent(weight: float, theta_dim: int) -> Resolvent:
         raise ValueError("soft-threshold weight must be nonnegative")
     return Resolvent(kind="soft-threshold", weight=float(weight),
                      theta_dim=int(theta_dim))
-
-
-def custom_resolvent(func) -> Resolvent:
-    return Resolvent(kind="custom", func=func)
 
 
 def apply_resolvent(res: Resolvent, z: np.ndarray, eta: float = 1.0) -> np.ndarray:
@@ -285,8 +271,6 @@ def apply_resolvent(res: Resolvent, z: np.ndarray, eta: float = 1.0) -> np.ndarr
             th = out[: res.theta_dim]
             out[: res.theta_dim] = np.sign(th) * np.maximum(np.abs(th) - lam, 0.0)
         return out
-    if res.kind == "custom":
-        return np.asarray(res.func(z, eta), dtype=float)
     raise ValueError(f"unknown resolvent kind {res.kind!r}")
 
 
@@ -296,13 +280,12 @@ def apply_resolvent(res: Resolvent, z: np.ndarray, eta: float = 1.0) -> np.ndarr
 
 @dataclass(frozen=True)
 class InclusionProblem:
-    """Bundles a forward operator, a resolvent for T, and the constants that
-    the solver needs (stepping Lipschitz constant, weak-Minty radius)."""
+    """Bundles a forward operator, a resolvent for T, and the stepping
+    Lipschitz constant L that step sizes and theory cards read."""
 
     forward: ForwardOperator
     resolvent: Resolvent
     lipschitz: float
-    weak_minty_rho: float = 0.0
     known_solution: Optional[np.ndarray] = None
 
     @property

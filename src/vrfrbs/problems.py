@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import (FiniteSumOperator, InclusionProblem, Resolvent,
-                   RowOperator, ball_box_resolvent, identity_resolvent,
+from .core import (FiniteSumOperator, InclusionProblem, RowOperator,
+                   ball_box_resolvent, identity_resolvent,
                    soft_threshold_resolvent)
 
 
@@ -302,20 +302,13 @@ class Transitions:
         return self.phi.shape[1]
 
 
-def sample_transitions(mdp: Mdp, n: int,
-                       feature_map: Union[np.ndarray, Callable[[int], np.ndarray]],
+def sample_transitions(mdp: Mdp, n: int, features: np.ndarray,
                        seed) -> Transitions:
-    """Simulate one n-step trajectory from the initial distribution.
-
-    feature_map is either an (S, d) matrix or a callable state -> R^d.
-    """
+    """Simulate one n-step trajectory from the initial distribution;
+    features is the (S, d) per-state feature matrix."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if callable(feature_map):
-        F = np.stack([np.asarray(feature_map(s), dtype=float)
-                      for s in range(mdp.n_states)])
-    else:
-        F = np.asarray(feature_map, dtype=float)
+    F = np.asarray(features, dtype=float)
     rng = np.random.default_rng(seed)
     cum_init = np.cumsum(mdp.init)
     cum_pi = np.cumsum(mdp.pi, axis=1)
@@ -397,10 +390,9 @@ def build_pe_problem(transitions: Transitions, gamma: float,
 # Synthetic affine problems
 # ---------------------------------------------------------------------------
 
-def affine_problem_from_components(B: np.ndarray, c: np.ndarray,
-                                   resolvent: Optional[Resolvent] = None,
-                                   rho: float = 0.0) -> InclusionProblem:
-    """Finite sum of dense affine components G_i(x) = B_i x + c_i.
+def affine_problem_from_components(B: np.ndarray,
+                                   c: np.ndarray) -> InclusionProblem:
+    """Finite sum of dense affine components G_i(x) = B_i x + c_i, T = 0.
 
     The average-Lipschitz constant is computed exactly from
     lambda_max((1/n) sum_i B_i^T B_i).  Intended for small test problems:
@@ -424,18 +416,14 @@ def affine_problem_from_components(B: np.ndarray, c: np.ndarray,
         return B_mean @ x + c_mean
 
     op = FiniteSumOperator(n=n, dim=dim, batch_components=batch_components,
-                           full_eval=full_eval, lipschitz=L)
+                           full_eval=full_eval)
     solution = None
     try:
         solution = np.linalg.solve(B_mean, -c_mean)
     except np.linalg.LinAlgError:
         pass
-    if resolvent is not None and resolvent.kind != "identity":
-        solution = None  # fixed point of the mean map is no longer a root
-    return InclusionProblem(forward=op,
-                            resolvent=resolvent or identity_resolvent(),
-                            lipschitz=L, weak_minty_rho=rho,
-                            known_solution=solution)
+    return InclusionProblem(forward=op, resolvent=identity_resolvent(),
+                            lipschitz=L, known_solution=solution)
 
 
 def linear_toy(n: int = 10, dim: int = 4, seed=0,
@@ -490,7 +478,7 @@ def strongly_monotone_affine(dim: int, n_components: int, seed,
     op = RowOperator(n=n, dim=d, blocks=((slice(0, d), U), (slice(0, d), c)),
                      coefficients=coefficients,
                      full_eval=lambda x: M_mean @ x + c_mean,
-                     common=lambda x: mu * x, lipschitz=L)
+                     common=lambda x: mu * x)
     return InclusionProblem(forward=op, resolvent=identity_resolvent(),
                             lipschitz=L, known_solution=solution)
 

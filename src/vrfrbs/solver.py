@@ -26,6 +26,7 @@ from .estimators import EstimatorState, TheoryCard, estimator_step
 UNBIASED_STEP_DENOM = 3.0 * math.sqrt(2.0)   # eta < 1/(3 sqrt(2) L)
 BIASED_STEP_DENOM = math.sqrt(134.0)         # eta < 1/(sqrt(134) L)
 BIASED_CONDITION_FACTOR = 22.0               # 4 L^2 tau^2 kappa >= 22 (Theta + Theta_hat)
+DIVERGENCE_NORM = 1e12                       # iterates beyond this norm diverged
 
 
 class DivergenceError(RuntimeError):
@@ -146,7 +147,6 @@ class SolverConfig:
     stop_tol: float = 0.0
     meter_residuals: bool = False
     max_calls: Optional[int] = None
-    divergence_norm: float = 1e12
 
 
 @dataclass
@@ -166,9 +166,6 @@ class RunTrace:
     iterations_run: int
     oracle_calls: int
 
-    def epochs(self, n: int):
-        return [r.oracle_calls / n for r in self.records]
-
 
 def run(problem: InclusionProblem, estimator: EstimatorState,
         config: SolverConfig) -> RunTrace:
@@ -177,7 +174,7 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
     Deterministic given (problem, estimator kind/params/seed, config): the
     reservoir uses its own stream derived from config.seed.  Raises
     DivergenceError (with the partial trace attached) if an iterate goes
-    non-finite or its norm exceeds config.divergence_norm.
+    non-finite or its norm exceeds DIVERGENCE_NORM.
     """
     if config.eta <= 0:
         raise ValueError("eta must be positive")
@@ -216,7 +213,7 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
     for k in range(config.max_iters):
         x_next = apply_resolvent(problem.resolvent, x - eta * s_tilde, eta)
         if not np.all(np.isfinite(x_next)) or \
-                float(np.linalg.norm(x_next)) > config.divergence_norm:
+                float(np.linalg.norm(x_next)) > DIVERGENCE_NORM:
             trace = RunTrace(records, x, reservoir, iterations, counter.count)
             raise DivergenceError(
                 f"divergence at iteration {k + 1}", trace=trace)
@@ -226,7 +223,7 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
         if reservoir_rng.random() < 1.0 / (iterations + 1):
             reservoir = x.copy()
 
-        due = (iterations % config.record_every == 0) or iterations == config.max_iters
+        due = iterations % config.record_every == 0
         if next_call_mark is not None and counter.count >= next_call_mark:
             due = True
         stopping = False

@@ -30,9 +30,9 @@ import numpy as np
 from .core import InclusionProblem
 from .estimators import (BIASED_KINDS, SAGA, SARAH, SGD, SVRG, FULL, HSGD,
                          HSVRG, UNBIASED_KINDS, EstimatorParams,
-                         EstimatorState, _apply_step, _make_draws,
-                         _sgd_batch_size, estimator_step, make_estimator,
-                         theory_card)
+                         EstimatorState, _apply_step, _hybrid_c,
+                         _make_draws, _sgd_batch_size, estimator_step,
+                         make_estimator, theory_card)
 
 DEFAULT_SIGMA_THRESHOLD = 4.0
 ENUM_TOL = 1e-12
@@ -182,8 +182,7 @@ def build_history(kind: str, params: EstimatorParams,
         hist.delta_k = _direction_variance(problem, x_k, x_km1) / b_k
     elif kind == HSGD:
         sigma_k2 = _direction_variance(problem, x_k, x_km1) / b
-        c_share = 2.0 if params.share_batches else 1.0
-        hist.delta_k = c_share * params.omega ** 2 * sigma_k2
+        hist.delta_k = _hybrid_c(params) * params.omega ** 2 * sigma_k2
     return hist
 
 

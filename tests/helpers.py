@@ -1,6 +1,8 @@
 """Shared test fixtures: instrumented operators and an independently coded
 deterministic forward-reflected-backward reference loop."""
 
+import dataclasses
+
 import numpy as np
 
 from vrfrbs.core import FiniteSumOperator, apply_resolvent
@@ -16,7 +18,6 @@ class InstrumentedOperator:
         self.observed = 0
         self.n = op.n
         self.dim = op.dim
-        self.lipschitz = op.lipschitz
 
     def draw(self, rng, size):
         return self._op.draw(rng, size)
@@ -37,10 +38,7 @@ class InstrumentedOperator:
 def instrumented_problem(problem):
     """Problem copy whose forward operator records every evaluation."""
     wrapped = InstrumentedOperator(problem.forward)
-    return problem.__class__(forward=wrapped, resolvent=problem.resolvent,
-                             lipschitz=problem.lipschitz,
-                             weak_minty_rho=problem.weak_minty_rho,
-                             known_solution=problem.known_solution), wrapped
+    return dataclasses.replace(problem, forward=wrapped), wrapped
 
 
 def frbs_reference(problem, eta, x0, iters):

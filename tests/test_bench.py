@@ -109,6 +109,9 @@ def test_run_block_rejects_bad_lengths(key, value):
 ])
 def test_mistyped_values_rejected(block, key, value):
     bad = toy_config()
+    # hsvrg reads every params key typed here, so its type check runs
+    bad["algorithms"][1] = {"estimator": "hsvrg",
+                            "params": {"b": 6, "p_switch": 0.4, "omega": 0.5}}
     target = {"config": bad, "run": bad["run"], "problem": bad["problem"],
               "params": bad["algorithms"][1]["params"]}[block]
     target[key] = value
@@ -132,6 +135,42 @@ def test_sgd_coeff_on_other_estimators_rejected_when_read():
     bad["algorithms"][1]["params"]["sgd_coeff"] = 0.02
     with pytest.raises(ConfigError, match="sgd_coeff"):
         load_config(bad)
+
+
+_EVERY_KEY_READ = {
+    "full": {},
+    "sgd": {"sgd_coeff": 0.05},
+    "saga": {"b": 3},
+    "svrg": {"b": 3, "p_switch": 0.4, "mega_batch": 8},
+    "sarah": {"b": 3, "p_switch": 0.4, "mega_batch": "exact"},
+    "hsgd": {"b": 3, "omega": 0.5, "mega_batch": 8, "share_batches": False},
+    "hsvrg": {"b": 3, "p_switch": 0.4, "omega": 0.5, "mega_batch": "exact",
+              "share_batches": True},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_params_take_every_key_their_estimator_reads(kind):
+    cfg = toy_config(algorithms=[{"estimator": kind,
+                                  "params": _EVERY_KEY_READ[kind]}])
+    assert load_config(cfg)["algorithms"][0]["params"] == \
+        _EVERY_KEY_READ[kind]
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("sgd", "b", 4), ("saga", "p_switch", 0.5), ("svrg", "omega", 0.5),
+    ("sarah", "share_batches", False), ("full", "b", 2),
+    ("hsgd", "p_switch", 0.5), ("svrg", "sigma2", 1.0),
+])
+def test_cli_params_key_the_estimator_does_not_read(tmp_path, capsys, kind,
+                                                     key, value):
+    params = {**_EVERY_KEY_READ[kind], key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(toy_config(
+        algorithms=[{"estimator": kind, "params": params}])))
+    assert cli_main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["experiment_id", "name"])
@@ -434,9 +473,10 @@ def small_toy_configs(draw):
                                            min_size=1, max_size=2))):
         params = dict(_KIND_PARAMS.get(kind, {}))
         for key in ("p_switch", "omega"):
-            if key in params or bad == key:
+            if key in params:
                 params[key] = value(key, st.just(0.5))
-        if kind != "full" and (bad == "b" or draw(st.booleans())):
+        if kind not in ("full", "sgd") and \
+                (bad == "b" or draw(st.booleans())):
             params["b"] = value("b", st.integers(1, n))
         if kind in ("svrg", "sarah", "hsgd", "hsvrg") and \
                 (bad == "mega_batch" or draw(st.booleans())):

@@ -199,7 +199,7 @@ def test_residual_unmetered_by_default():
 def test_lipschitz_audit_on_toy():
     prob = linear_toy(n=10, dim=4, seed=7)
     op = prob.forward
-    L2 = op.lipschitz ** 2
+    L2 = prob.lipschitz ** 2
     rng = np.random.default_rng(123)
     idx = np.arange(op.n)
     for _ in range(200):
@@ -209,3 +209,10 @@ def test_lipschitz_audit_on_toy():
         vals = op.batch_components(x, idx) - op.batch_components(y, idx)
         avg = np.einsum("ij,ij->i", vals, vals).mean()
         assert avg <= (1 + 1e-6) * L2 * np.dot(dx, dx)
+
+
+def test_every_export_resolves():
+    import vrfrbs
+    assert len(set(vrfrbs.__all__)) == len(vrfrbs.__all__)
+    missing = [name for name in vrfrbs.__all__ if not hasattr(vrfrbs, name)]
+    assert missing == []

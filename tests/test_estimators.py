@@ -25,8 +25,7 @@ def components_only_problem(n=4, dim=3, seed=0):
     def batch_components(x, idx):
         return B[idx] @ x + c[idx]
 
-    op = FiniteSumOperator(n=n, dim=dim, batch_components=batch_components,
-                           lipschitz=3.0)
+    op = FiniteSumOperator(n=n, dim=dim, batch_components=batch_components)
     return InclusionProblem(forward=op, resolvent=identity_resolvent(),
                             lipschitz=3.0)
 
@@ -91,8 +90,7 @@ def test_saga_rejects_oracle():
     oracle = StochasticOracle(
         dim=2,
         sampler=lambda rng, size: rng.standard_normal((size, 2)),
-        evaluator=lambda x, xi: x[None, :] + xi,
-        variance_bound=2.0, lipschitz=1.0)
+        evaluator=lambda x, xi: x[None, :] + xi)
     prob = InclusionProblem(forward=oracle, resolvent=identity_resolvent(),
                             lipschitz=1.0)
     with pytest.raises(UnsupportedConfigError):

@@ -21,8 +21,6 @@ def gaussian_affine_oracle(dim=3, noise=0.5, seed=0):
         dim=dim,
         sampler=lambda r, size: r.standard_normal((size, dim)),
         evaluator=lambda x, xi: (A @ x + c)[None, :] + noise * xi,
-        variance_bound=noise * noise * dim,
-        lipschitz=L,
         exact_mean=lambda x: A @ x + c)
     problem = InclusionProblem(forward=oracle, resolvent=identity_resolvent(),
                                lipschitz=L)
@@ -114,8 +112,9 @@ def test_sgd_adaptive_batch_rule():
     from vrfrbs.problems import linear_toy
     from vrfrbs.estimators import _sgd_batch_size
 
-    problem, _, _ = gaussian_affine_oracle(noise=1.0)
-    sigma2 = problem.forward.variance_bound
+    noise, dim = 1.0, 3
+    problem, _, _ = gaussian_affine_oracle(dim=dim, noise=noise)
+    sigma2 = noise * noise * dim
     params = EstimatorParams(sigma2=sigma2,
                              delta_schedule=lambda k: 0.1 / (k + 1) ** 2)
     st = make_estimator("sgd", params, problem, np.zeros(3), seed=0)
