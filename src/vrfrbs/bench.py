@@ -141,9 +141,16 @@ _PROBLEM = {
                    "offset_scale": (_FLOAT, 1.0)},
 }
 
+_UNIT = _check(lambda v: _finite(v) and 0 < v <= 1, "a number in (0, 1]",
+               float)
+
+# the problem key that counts a family's components; a batch may not exceed it
+_SIZE_KEY = {"auc": "n", "policy-eval": "transitions",
+             "affine-toy": "components"}
+
 _PARAMS = {
-    "b": (_INT_GE1, _ABSENT), "p_switch": (_FLOAT, _ABSENT),
-    "omega": (_FLOAT, _ABSENT),
+    "b": (_INT_GE1, _ABSENT), "p_switch": (_UNIT, _REQUIRED),
+    "omega": (_UNIT, _REQUIRED),
     "mega_batch": (_check(
         lambda v: v == "exact" or (type(v) is int and v >= 1),
         "'exact' or an integer >= 1"), _ABSENT),
@@ -152,8 +159,9 @@ _PARAMS = {
 
 
 def _params_table(kind):
-    """The _PARAMS entries `kind` reads.  sgd's batch is its schedule, so
-    it reads sgd_coeff and not b; saga has no anchor to mega-batch."""
+    """The _PARAMS entries `kind` reads, so p_switch and omega are required
+    exactly where they are read.  sgd's batch is its schedule, so it reads
+    sgd_coeff and not b; saga has no anchor to mega-batch."""
     if kind == FULL:
         keys = ()
     elif kind == SGD:
@@ -239,7 +247,16 @@ def load_config(raw) -> dict:
     """Check a raw experiment config and return it resolved: every block
     but `problem` with its defaults filled in.  This is what manifest.json
     records."""
-    return _read(raw, _CONFIG)
+    config = _read(raw, _CONFIG)
+    problem = read_problem(config["problem"])
+    size_key = _SIZE_KEY[problem["family"]]
+    for i, alg in enumerate(config["algorithms"]):
+        params = alg["params"]
+        if isinstance(params, dict) and params.get("b", 1) > problem[size_key]:
+            raise ConfigError(
+                f"algorithms[{i}].params.b must be <= problem.{size_key} "
+                f"= {problem[size_key]}, not {params['b']!r}")
+    return config
 
 
 def build_problem(problem_spec: dict, run_seed: int,

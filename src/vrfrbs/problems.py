@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -305,24 +306,46 @@ class Transitions:
 def sample_transitions(mdp: Mdp, n: int, features: np.ndarray,
                        seed) -> Transitions:
     """Simulate one n-step trajectory from the initial distribution;
-    features is the (S, d) per-state feature matrix."""
+    features is the (S, d) per-state feature matrix.
+
+    The 2n + 1 uniforms come from one draw, in the order of a step-by-step
+    simulation: the initial state, then each step's action and next state.
+    A uniform u picks the first entry whose cumulative probability is >= u
+    (numpy's searchsorted, side="left"); the last entry of a row takes
+    every u above the boundary before it, so rounding in a row's total
+    never carries a draw past the row.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     F = np.asarray(features, dtype=float)
-    rng = np.random.default_rng(seed)
-    cum_init = np.cumsum(mdp.init)
-    cum_pi = np.cumsum(mdp.pi, axis=1)
-    cum_P = np.cumsum(mdp.P, axis=2)
+    S, A = mdp.n_states, mdp.n_actions
+    if F.ndim != 2 or F.shape[0] != S:
+        raise ValueError(f"features must be an (S, d) matrix with S = {S} "
+                         f"rows, not shape {F.shape}")
+    for name in ("init", "pi", "P"):
+        probs = getattr(mdp, name)
+        if not (np.all(probs >= 0)
+                and np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)):
+            raise ValueError(f"every row of mdp.{name} must be nonnegative "
+                             "and sum to 1 within 1e-9")
+    u = np.random.default_rng(seed).random(2 * n + 1).tolist()
+    # flat cumulative tables: the row of state s starts at s * A in cum_pi,
+    # the row of (s, a) at (s * A + a) * S in cum_P
+    cum_init = memoryview(np.cumsum(mdp.init))
+    cum_pi = memoryview(np.cumsum(mdp.pi, axis=1).ravel())
+    cum_P = memoryview(np.cumsum(mdp.P, axis=2).ravel())
 
-    states = np.empty(n + 1, dtype=int)
-    rewards = np.empty(n)
-    s = int(np.searchsorted(cum_init, rng.random()))
-    states[0] = s
-    for t in range(n):
-        a = int(np.searchsorted(cum_pi[s], rng.random()))
-        rewards[t] = mdp.R[s, a]
-        s = int(np.searchsorted(cum_P[states[t], a], rng.random()))
-        states[t + 1] = s
+    s = bisect_left(cum_init, u[0], 0, S - 1)
+    states, actions = [s], []
+    for t in range(1, 2 * n, 2):
+        lo = s * A
+        a = bisect_left(cum_pi, u[t], lo, lo + A - 1) - lo
+        lo = (lo + a) * S
+        s = bisect_left(cum_P, u[t + 1], lo, lo + S - 1) - lo
+        actions.append(a)
+        states.append(s)
+    states = np.array(states)
+    rewards = np.asarray(mdp.R, dtype=float)[states[:-1], actions]
     return Transitions(phi=F[states[:-1]], phi_next=F[states[1:]], r=rewards)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrfrbs
+from vrfrbs import bench
 from vrfrbs.bench import (CSV_HEADER, ConfigError, load_config, read_runs_csv,
                           resolve_eta, run_experiment, summarize)
 from vrfrbs.cli import main as cli_main
@@ -171,6 +172,32 @@ def test_cli_params_key_the_estimator_does_not_read(tmp_path, capsys, kind,
     assert cli_main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,params,key,at_bound", [
+    ("svrg", {"b": 4, "p_switch": 1.5}, "params.p_switch",
+     {"b": 4, "p_switch": 1.0}),
+    ("hsgd", {"b": 4, "omega": 0.0}, "params.omega", {"b": 4, "omega": 1.0}),
+    ("svrg", {"b": 4}, "'p_switch'", {"b": 4, "p_switch": 0.5}),
+    ("saga", {"b": 41}, "params.b", {"b": 40}),
+], ids=["p_switch-above-1", "omega-zero", "p_switch-missing", "b-above-n"])
+def test_cli_bad_params_exit_before_any_cell(tmp_path, capsys, monkeypatch,
+                                             kind, params, key, at_bound):
+    """A params value the estimator would reject is exit 2 when the config
+    is read, before the cell ahead of it runs."""
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    cfg = toy_config(algorithms=[{"estimator": "full", "params": {}},
+                                 {"estimator": kind, "params": params}])
+    cfg["problem"]["components"] = 40
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert cells == []
+    assert key in capsys.readouterr().err
+    cfg["algorithms"][1]["params"] = at_bound
+    load_config(cfg)
 
 
 @pytest.mark.parametrize("field", ["experiment_id", "name"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -221,27 +223,101 @@ def test_policy_induced_chain_row_stochastic():
     assert np.all(P_pi >= 0)
 
 
-def test_sample_transitions_replays_rng_stream():
-    mdp = gen_random_mdp(2, 2, seed=1)
-    F = np.eye(2)
-    trans = sample_transitions(mdp, 3, F, seed=123)
-    # replay the generator by hand using the same draw order
-    rng = np.random.default_rng(123)
+def _replay_transitions(mdp, n, F, seed):
+    """The trajectory by a per-step simulation: one scalar uniform and one
+    searchsorted per draw, initial state first, then action and next
+    state for each step."""
+    rng = np.random.default_rng(seed)
     cum_init = np.cumsum(mdp.init)
     cum_pi = np.cumsum(mdp.pi, axis=1)
     cum_P = np.cumsum(mdp.P, axis=2)
     s = int(np.searchsorted(cum_init, rng.random()))
     phis, phis2, rews = [], [], []
-    for _ in range(3):
+    for _ in range(n):
         a = int(np.searchsorted(cum_pi[s], rng.random()))
         rews.append(mdp.R[s, a])
         s2 = int(np.searchsorted(cum_P[s, a], rng.random()))
         phis.append(F[s])
         phis2.append(F[s2])
         s = s2
-    assert np.array_equal(trans.phi, np.array(phis))
-    assert np.array_equal(trans.phi_next, np.array(phis2))
-    assert np.array_equal(trans.r, np.array(rews))
+    return np.array(phis), np.array(phis2), np.array(rews)
+
+
+def test_sample_transitions_replays_rng_stream():
+    """Same bytes as the per-step simulation over a grid of sizes, two
+    (MDP, trajectory) seed pairs each."""
+    for S, A, n in ((2, 1, 1), (2, 2, 3), (7, 3, 500), (100, 10, 2000)):
+        for mdp_seed, seed in ((1, 123), (S + A, (n, 2))):
+            mdp = gen_random_mdp(S, A, seed=mdp_seed)
+            F = np.eye(S) if S == 2 else uniform_features(S, 4, seed=seed)
+            trans = sample_transitions(mdp, n, F, seed=seed)
+            phis, phis2, rews = _replay_transitions(mdp, n, F, seed)
+            assert np.array_equal(trans.phi, phis)
+            assert np.array_equal(trans.phi_next, phis2)
+            assert np.array_equal(trans.r, rews)
+            for got, want in zip((trans.phi, trans.phi_next, trans.r),
+                                 (phis, phis2, rews)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), (S, A, n, seed)
+
+
+def _constant_uniforms(value):
+    """A generator whose uniforms all equal `value`."""
+    class Constant(np.random.Generator):
+        def random(self, size=None):
+            return np.full(size, value)
+    return Constant(np.random.PCG64())
+
+
+def _mdp_of_rows(row):
+    """Every distribution of the MDP is `row`; R[s, a] = s * A + a."""
+    k = len(row)
+    return problems.Mdp(P=np.tile(row, (k, k, 1)),
+                        R=np.arange(k * k, dtype=float).reshape(k, k),
+                        pi=np.tile(row, (k, 1)), init=np.array(row),
+                        gamma=0.9)
+
+
+def test_sample_transitions_last_boundary_below_one_picks_last_entry():
+    # every row sums to 1 - 1e-12, inside the tolerance but below the draws
+    mdp = _mdp_of_rows([0.5, 0.5 - 1e-12])
+    trans = sample_transitions(mdp, 4, np.eye(2),
+                               seed=_constant_uniforms(1.0 - 1e-13))
+    assert np.array_equal(trans.phi, np.tile([0.0, 1.0], (4, 1)))
+    assert np.array_equal(trans.phi_next, np.tile([0.0, 1.0], (4, 1)))
+    assert np.array_equal(trans.r, [3.0] * 4)
+
+
+def test_sample_transitions_uniform_on_a_boundary_picks_its_entry():
+    # searchsorted side="left": u = 0.5 on the boundaries [0.5, 0.5, 1]
+    # picks entry 0, not the zero-probability entry 1 or entry 2
+    mdp = _mdp_of_rows([0.5, 0.0, 0.5])
+    trans = sample_transitions(mdp, 3, np.eye(3),
+                               seed=_constant_uniforms(0.5))
+    assert np.array_equal(trans.phi, np.tile([1.0, 0.0, 0.0], (3, 1)))
+    assert np.array_equal(trans.r, [0.0] * 3)
+
+
+def test_sample_transitions_rejects_features_of_other_state_count():
+    mdp = gen_random_mdp(5, 2, seed=0)
+    for F in (np.ones((4, 3)), np.ones((6, 3)), np.ones(5)):
+        with pytest.raises(ValueError, match="features"):
+            sample_transitions(mdp, 3, F, seed=0)
+
+
+@pytest.mark.parametrize("name", ["init", "pi", "P"])
+@pytest.mark.parametrize("defect", ["negative", "sum"])
+def test_sample_transitions_rejects_non_distribution_rows(name, defect):
+    mdp = gen_random_mdp(4, 3, seed=2)
+    probs = getattr(mdp, name).copy()
+    row = probs.reshape(-1, probs.shape[-1])[-1]   # a view of the last row
+    if defect == "negative":
+        row[:2] = row[0] + row[1] + 1e-3, -1e-3   # the same sum
+    else:
+        row[0] += 2e-9
+    bad = dataclasses.replace(mdp, **{name: probs})
+    with pytest.raises(ValueError, match=f"mdp.{name}"):
+        sample_transitions(bad, 3, np.eye(4), seed=0)
 
 
 def test_sample_transitions_one_hot_features():
