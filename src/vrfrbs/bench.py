@@ -250,12 +250,21 @@ def load_config(raw) -> dict:
     config = _read(raw, _CONFIG)
     problem = read_problem(config["problem"])
     size_key = _SIZE_KEY[problem["family"]]
+    n = problem[size_key]
     for i, alg in enumerate(config["algorithms"]):
-        params = alg["params"]
-        if isinstance(params, dict) and params.get("b", 1) > problem[size_key]:
+        if "b" not in _params_table(alg["estimator"]):
+            continue
+        # the batch the cell will use, default:* params resolved
+        b = resolve_params(alg, n).b
+        if b < 1:
+            raise ConfigError(
+                f"algorithms[{i}] ({alg['name']!r}): params "
+                f"{alg['params']!r} give b = {b!r} at problem.{size_key} "
+                f"= {n}; b must be >= 1")
+        if b > n:
             raise ConfigError(
                 f"algorithms[{i}].params.b must be <= problem.{size_key} "
-                f"= {problem[size_key]}, not {params['b']!r}")
+                f"= {n}, not {b!r}")
     return config
 
 

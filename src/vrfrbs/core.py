@@ -11,7 +11,7 @@ between concurrent runs; evaluation counters are owned by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -81,39 +81,47 @@ class FiniteSumOperator:
 class RowOperator:
     """Finite sum whose components are data rows scaled by coefficients.
 
-    G_i(x) = common(x) + sum_k coef_k(x, i) * R_k[i], where block k writes
-    row i of its (n, width) data block R_k, scaled by a scalar coefficient,
-    into out[slot_k].  A block without rows (R_k = None) writes the
-    coefficient itself into the single coordinate slot_k.  Blocks may share
-    slots; their contributions add.
+    G_i(x) = common(x) + sum_k coef_k(x, i) * rows[i, cols_k], where block
+    k writes the columns cols_k of row i of the (n, W) data matrix, scaled
+    by a scalar coefficient, into out[slot_k].  A block without rows
+    (cols_k = None) writes the coefficient itself into the single
+    coordinate slot_k.  Blocks may share slots; their contributions add.
+    An evaluation gathers the selected rows once, for all blocks.
 
     Args:
-        n: number of components.
         dim: dimension of the variable.
-        blocks: (slot, rows) pairs; slot is a slice, or an int for a block
-            without rows.
+        rows: (n, W) data matrix, one row per component.
+        blocks: (slot, cols) pairs; slot is a slice, or an int for a block
+            without rows; cols is a column slice of `rows`, or None.
         coefficients: (x, rows, sel) -> one length-m coefficient vector per
-            block, where rows holds each block's selected rows (None for a
-            block without rows) and sel is the index array or slice that
-            selected them, for per-sample data such as labels.
+            block, where rows holds a view of each block's columns of the
+            selected rows (None for a block without rows) and sel is the
+            index array or slice that selected them, for per-sample data
+            such as labels.
         full_eval: closed form for the exact mean.  Epoch accounting still
             charges n per full evaluation.
         common: optional term shared by every component.
     """
 
-    n: int
     dim: int
-    blocks: Tuple[Tuple[Union[slice, int], Optional[np.ndarray]], ...]
+    rows: np.ndarray
+    blocks: Tuple[Tuple[Union[slice, int], Optional[slice]], ...]
     coefficients: Callable[..., Tuple[np.ndarray, ...]]
     full_eval: Callable[[np.ndarray], np.ndarray]
     common: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    n: int = field(init=False)   # number of components, len(rows)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", len(self.rows))
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """I.i.d. uniform component indices, sampled with replacement."""
         return rng.integers(0, self.n, size=size)
 
     def _select(self, x, sel):
-        rows = tuple(None if R is None else R[sel] for _, R in self.blocks)
+        picked = self.rows[sel]
+        rows = tuple([None if cols is None else picked[:, cols]
+                      for _, cols in self.blocks])
         return rows, self.coefficients(x, rows, sel)
 
     def batch_components(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -382,6 +382,20 @@ def _exact_direction(ev: _StepEval, x, x1) -> np.ndarray:
     return 2.0 * gx - gx1
 
 
+def _first_occurrences(idx):
+    """The sorted distinct indices of a non-empty batch and each one's
+    first position in it, as np.unique(idx, return_index=True) gives them
+    but without its per-call overhead.  saga stores the first occurrence's
+    row: rows of a repeated index may differ in the last bit by position.
+    """
+    order = np.argsort(idx, kind="stable")
+    srt = idx[order]
+    keep = np.empty(len(srt), dtype=bool)
+    keep[0] = True
+    np.not_equal(srt[1:], srt[:-1], out=keep[1:])
+    return srt[keep], order[keep]
+
+
 def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
                 trials: Optional[int] = None):
     """Evaluate S_tilde at step state.k from materialized draws.
@@ -421,10 +435,13 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         idx = draws["batch"]
         comp_x1 = ev.components(x1, idx)
         gx = ev.mean(x, idx)
-        table_batch = state.table[idx].mean(axis=0)
-        value = state.table_mean - table_batch + 2.0 * gx - comp_x1.mean(axis=0)
+        # sum / b: the bits of .mean(axis=0) without its per-call overhead
+        b = len(idx)
+        table_batch = state.table[idx].sum(axis=0) / b
+        value = state.table_mean - table_batch + 2.0 * gx \
+            - comp_x1.sum(axis=0) / b
         if trials is None:
-            uniq, first = np.unique(idx, return_index=True)
+            uniq, first = _first_occurrences(idx)
             new_rows = comp_x1[first]
             state.table_mean = state.table_mean \
                 + (new_rows - state.table[uniq]).sum(axis=0) / state.problem.n_components

@@ -209,9 +209,9 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
             + 2.0 * p * (1 - p) * al
         return cw, ga, gb, gal
 
-    op = RowOperator(n=n, dim=dim,
-                     blocks=((slice(0, d), X), (d, None), (d + 1, None),
-                             (d + 2, None)),
+    op = RowOperator(dim=dim, rows=X,
+                     blocks=((slice(0, d), slice(None)), (d, None),
+                             (d + 1, None), (d + 2, None)),
                      coefficients=coefficients, full_eval=lambda z: Q @ z + q)
     L = spectral_norm(Q, tol=1e-12)
     R = 100.0 if radius is None else float(radius)
@@ -379,7 +379,12 @@ def build_pe_problem(transitions: Transitions, gamma: float,
         raise ValueError("tau_reg must be nonnegative")
     phi, phi2, r = transitions.phi, transitions.phi_next, transitions.r
     n, d = phi.shape
-    psi = phi - gamma * phi2
+    # rows [psi | phi] with psi = phi - gamma phi', built in place
+    rows = np.empty((n, 2 * d))
+    psi = rows[:, :d]
+    np.multiply(phi2, -gamma, out=psi)
+    psi += phi
+    rows[:, d:] = phi
     A_hat = phi.T @ psi / n
     C_hat = phi.T @ phi / n
     b_hat = phi.T @ r / n
@@ -397,8 +402,9 @@ def build_pe_problem(transitions: Transitions, gamma: float,
         s_pw = ph @ x[d:]      # phi_t . w
         return -s_pw, ps @ x[:d] + s_pw - r[sel]
 
-    op = RowOperator(n=n, dim=dim,
-                     blocks=((slice(0, d), psi), (slice(d, dim), phi)),
+    op = RowOperator(dim=dim, rows=rows,
+                     blocks=((slice(0, d), slice(0, d)),
+                             (slice(d, dim), slice(d, dim))),
                      coefficients=coefficients,
                      full_eval=lambda x: G_mat @ x + g_vec)
     L = spectral_norm(G_mat, tol=1e-12)
@@ -498,7 +504,9 @@ def strongly_monotone_affine(dim: int, n_components: int, seed,
         # slope rows scaled by u_i . x, offset rows by one
         return rows[0] @ x, np.ones(len(rows[1]))
 
-    op = RowOperator(n=n, dim=d, blocks=((slice(0, d), U), (slice(0, d), c)),
+    op = RowOperator(dim=d, rows=np.hstack([U, c]),
+                     blocks=((slice(0, d), slice(0, d)),
+                             (slice(0, d), slice(d, 2 * d))),
                      coefficients=coefficients,
                      full_eval=lambda x: M_mean @ x + c_mean,
                      common=lambda x: mu * x)

@@ -212,8 +212,8 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
     iterations = 0
     for k in range(config.max_iters):
         x_next = apply_resolvent(problem.resolvent, x - eta * s_tilde, eta)
-        if not np.all(np.isfinite(x_next)) or \
-                float(np.linalg.norm(x_next)) > DIVERGENCE_NORM:
+        # a nan or inf entry makes the norm nan or inf: one test for both
+        if not np.linalg.norm(x_next) <= DIVERGENCE_NORM:
             trace = RunTrace(records, x, reservoir, iterations, counter.count)
             raise DivergenceError(
                 f"divergence at iteration {k + 1}", trace=trace)

@@ -200,6 +200,30 @@ def test_cli_bad_params_exit_before_any_cell(tmp_path, capsys, monkeypatch,
     load_config(cfg)
 
 
+@pytest.mark.parametrize("kind", ["svrg", "saga", "sarah", "hsgd", "hsvrg"])
+def test_cli_default_batch_of_zero_exits_before_any_cell(tmp_path, capsys,
+                                                         monkeypatch, kind):
+    """default:experiment sizes b from n, which gives b = 0 on a two-component
+    toy; that is exit 2 naming the algorithm and b when the config is read,
+    before the cell ahead of it runs."""
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    cfg = toy_config(algorithms=[{"estimator": "full", "params": {}},
+                                 {"name": f"my-{kind}", "estimator": kind,
+                                  "params": "default:experiment"}])
+    cfg["problem"]["components"] = 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert cells == []
+    err = capsys.readouterr().err
+    assert f"'my-{kind}'" in err and "b = 0" in err
+    # the theory profile clamps b to [1, n], so it is accepted
+    cfg["algorithms"][1]["params"] = "default:theory"
+    load_config(cfg)
+
+
 @pytest.mark.parametrize("field", ["experiment_id", "name"])
 @pytest.mark.parametrize("char", [",", '"', "\n", "\r"])
 def test_csv_separators_in_ids_rejected(field, char):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrfrbs.bench import run_experiment
+from vrfrbs.bench import build_problem, run_experiment
 from vrfrbs.core import FiniteSumOperator, InclusionProblem, identity_resolvent, UnsupportedConfigError
-from vrfrbs.estimators import (KINDS, EstimatorParams, estimator_step,
+from vrfrbs.estimators import (KINDS, EstimatorParams, _apply_step,
+                               _first_occurrences, estimator_step,
                                make_estimator)
 from vrfrbs.problems import linear_toy
 
@@ -150,6 +151,50 @@ def test_saga_table_rows_updated_only_for_batch():
             assert np.array_equal(st_.table[i], rows_x0[i])
         else:
             assert np.array_equal(st_.table[i], before[i])
+
+
+def test_saga_stores_first_occurrence_of_a_repeated_index():
+    """On the policy-evaluation operator the rows of a repeated index can
+    differ in the last bit by their position in the batch; saga's table
+    takes the row at the index's first position."""
+    prob = build_problem({"family": "policy-eval", "states": 100,
+                          "actions": 10, "transitions": 2000,
+                          "features": 21, "gamma": 0.95, "tau_reg": 1e-4,
+                          "seed": 7}, 0, False)
+    op = prob.forward
+    rng = np.random.default_rng(0)
+    x0 = np.zeros(op.dim)
+    x = rng.standard_normal(op.dim)
+    x1 = rng.standard_normal(op.dim)
+    # prefer a batch whose repeated rows differ, where the rule shows
+    for _ in range(200):
+        batch = op.draw(rng, 79)
+        comp = op.batch_components(x1, batch)
+        first = {}
+        for pos, i in enumerate(batch):
+            first.setdefault(i, pos)
+        if any(not np.array_equal(comp[pos], comp[first[i]])
+               for pos, i in enumerate(batch)):
+            break
+    assert len(first) < len(batch)
+    st_ = make_estimator("saga", EstimatorParams(b=79), prob, x0, seed=0)
+    st_.k += 1
+    _apply_step(st_, x, x1, x0, {"batch": batch})
+    for i, pos in first.items():
+        assert np.array_equal(st_.table[i], comp[pos])
+
+
+def test_first_occurrences_match_np_unique():
+    rng = np.random.default_rng(11)
+    batches = [np.array([3]), np.array([2, 2, 2]), np.array([5, 1, 5, 1, 0])]
+    batches += [rng.integers(0, n, size=m)
+                for n, m in ((10, 30), (2000, 79), (50, 50), (7, 1))
+                for _ in range(50)]
+    for idx in batches:
+        uniq, first = _first_occurrences(idx)
+        want_uniq, want_first = np.unique(idx, return_index=True)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(first, want_first)
 
 
 def test_saga_running_mean_stays_synced():

@@ -480,6 +480,74 @@ def test_row_operator_batch_mean_matches_components(family):
     assert np.linalg.norm(op.full(x) - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
+def _row_operator_and_blocks(family):
+    """A row operator and its blocks as separate contiguous arrays, in the
+    order of op.blocks (None for a block without rows)."""
+    if family == "auc":
+        ds = gen_auc_dataset(40, 5, 0.2, 0.3, seed=6)
+        op = build_auc_problem(ds).inclusion.forward
+        return op, (ds.X.copy(), None, None, None)
+    if family in ("pe", "pe-desk"):
+        S, A, n, d = (10, 2, 30, 4) if family == "pe" else (100, 10, 2000, 21)
+        trans = sample_transitions(gen_random_mdp(S, A, seed=5), n,
+                                   uniform_features(S, d, seed=6), seed=7)
+        op = build_pe_problem(trans, gamma=0.95, tau_reg=0.0).inclusion.forward
+        psi = trans.phi - 0.95 * trans.phi_next
+        return op, (psi, trans.phi.copy())
+    op = strongly_monotone_affine(dim=8, n_components=30, seed=3).forward
+    return op, (op.rows[:, :8].copy(), op.rows[:, 8:].copy())
+
+
+def _per_block_components(op, blocks, x, idx):
+    rows = tuple(None if B is None else B[idx] for B in blocks)
+    out = np.zeros((len(idx), op.dim))
+    if op.common is not None:
+        out += op.common(x)
+    for (slot, _), R, c in zip(op.blocks, rows,
+                               op.coefficients(x, rows, idx)):
+        out[:, slot] += c if R is None else c[:, None] * R
+    return out
+
+
+def _per_block_mean(op, blocks, x, idx):
+    m = len(idx)
+    if m < op.n // 4:
+        rows = tuple(None if B is None else B[idx] for B in blocks)
+        coefs = op.coefficients(x, rows, idx)
+    else:
+        counts = np.bincount(idx, minlength=op.n).astype(float)
+        rows = blocks
+        coefs = tuple(counts * c
+                      for c in op.coefficients(x, rows, slice(None)))
+    out = np.zeros(op.dim)
+    if op.common is not None:
+        out += op.common(x)
+    for (slot, _), R, c in zip(op.blocks, rows, coefs):
+        out[slot] += (c.sum() if R is None else R.T @ c) / m
+    return out
+
+
+@pytest.mark.parametrize("family", ["auc", "pe", "pe-desk", "affine-toy"])
+def test_row_operator_matches_per_block_evaluation_bitwise(family):
+    """One gather of the row matrix, handed out as column views, gives the
+    same bits as gathering each block from its own contiguous array."""
+    op, blocks = _row_operator_and_blocks(family)
+    for (_, cols), B in zip(op.blocks, blocks):
+        if cols is not None:
+            assert np.array_equal(op.rows[:, cols], B)
+    n = op.n
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(op.dim)
+    # both sides of the n // 4 switch between the gather and dense paths
+    for m in (1, 2, n // 4 - 1, n // 4, n, 3 * n // 2):
+        idx = rng.integers(0, n, size=m)
+        idx[-1] = idx[0]  # a duplicate index whenever m > 1
+        assert np.array_equal(op.batch_components(x, idx),
+                              _per_block_components(op, blocks, x, idx)), m
+        assert np.array_equal(op.batch_mean(x, idx),
+                              _per_block_mean(op, blocks, x, idx)), m
+
+
 # --- dense affine toys -------------------------------------------------------
 
 @pytest.mark.parametrize("build", [

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from vrfrbs.core import InclusionProblem, ball_box_resolvent
+from vrfrbs.core import (FiniteSumOperator, InclusionProblem,
+                         ball_box_resolvent, identity_resolvent)
 from vrfrbs.estimators import EstimatorParams, make_estimator
 from vrfrbs.problems import (affine_problem_from_components, bilinear_problem,
                              linear_toy, strongly_monotone_affine)
-from vrfrbs.solver import (DivergenceError, SolverConfig, best_iterate, run,
-                           theory_stepsize)
+from vrfrbs.solver import (DIVERGENCE_NORM, DivergenceError, SolverConfig,
+                           best_iterate, run, theory_stepsize)
 
 from helpers import frbs_reference
 
@@ -89,6 +90,43 @@ def test_divergence_guard():
         run(prob, est, SolverConfig(eta=5.0, max_iters=500))
     assert excinfo.value.trace is not None
     assert excinfo.value.trace.records
+
+
+def constant_operator_problem(value):
+    """G(x) = -value for every x, so from x0 = 0 with eta = 1 the first
+    iterate is exactly `value`."""
+    value = np.asarray(value, dtype=float)
+    op = FiniteSumOperator(
+        n=1, dim=value.size,
+        batch_components=lambda x, idx: np.tile(-value, (len(idx), 1)),
+        full_eval=lambda x: -value)
+    return InclusionProblem(forward=op, resolvent=identity_resolvent(),
+                            lipschitz=1.0)
+
+
+_ABOVE_BOUND = np.nextafter(DIVERGENCE_NORM, np.inf)
+
+
+@pytest.mark.parametrize("value", [
+    [np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf],
+    [_ABOVE_BOUND, 0.0], [0.0, -_ABOVE_BOUND],
+], ids=["nan", "+inf", "-inf", "+inf-inf", "above", "above-negative"])
+def test_divergence_on_non_finite_or_large_iterate(value):
+    assert not np.linalg.norm(value) <= DIVERGENCE_NORM
+    prob = constant_operator_problem(value)
+    est = make_full(prob, np.zeros(2))
+    with pytest.raises(DivergenceError, match="iteration 1$"):
+        run(prob, est, SolverConfig(eta=1.0, max_iters=1))
+
+
+def test_no_divergence_at_the_norm_bound():
+    value = [DIVERGENCE_NORM, 0.0]
+    assert np.linalg.norm(value) == DIVERGENCE_NORM
+    prob = constant_operator_problem(value)
+    trace = run(prob, make_full(prob, np.zeros(2)),
+                SolverConfig(eta=1.0, max_iters=1))
+    assert trace.iterations_run == 1
+    assert np.array_equal(trace.final_x, value)
 
 
 def test_early_stop_on_tolerance():
