@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two experiment runs.
+
+    python scripts/compare_runs.py A B
+
+A and B are output directories of `vrfrbs run` (or `bench.run_experiment`).
+Their runs.csv, summary.csv and manifest.json are compared:
+
+* keys, iteration and call counts, and every other non-float value must
+  match exactly: the CSV key columns, epochs (calls / n) and iterations,
+  and in the manifest every string, integer, boolean and null;
+* float values (the residual and wall-time CSV columns, the manifest's
+  float fields) get a relative change |a - b| / max(|a|, |b|).
+
+It prints the largest relative change for each file and float column, and
+the first structural difference it finds.  Exit status: 0 when all three
+files have identical bytes, 1 when every change is within REL_TOL relative,
+2 for a larger change or a structural difference (a missing file, another
+header, row count, key, count or JSON shape).
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+FILES = ("runs.csv", "summary.csv", "manifest.json")
+# the float columns of runs.csv and summary.csv; every other column is a
+# key or a count and must match exactly
+FLOAT_COLUMNS = ("rel_residual", "abs_residual", "wall_ms",
+                 "mean_rel_residual")
+# the north star's rounding-level bound for a refactor, relative per value
+REL_TOL = 1e-9
+
+
+class Structural(Exception):
+    """The two files differ in something other than float values."""
+
+
+def rel_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _note(changes, column, a, b):
+    changes[column] = max(changes.get(column, 0.0), rel_change(a, b))
+
+
+def compare_csv(path_a: Path, path_b: Path) -> dict:
+    """Largest relative change per float column of two CSV files."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        raise Structural("headers differ")
+    if len(rows_a) != len(rows_b):
+        raise Structural(f"{len(rows_a) - 1} rows against {len(rows_b) - 1}")
+    header = rows_a[0]
+    changes = {name: 0.0 for name in header if name in FLOAT_COLUMNS}
+    for line, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=2):
+        if len(ra) != len(header) or len(rb) != len(header):
+            raise Structural(f"line {line} has another field count")
+        for name, a, b in zip(header, ra, rb):
+            if name not in changes:
+                if a != b:
+                    raise Structural(f"line {line}: {name} {a} != {b}")
+                continue
+            try:
+                _note(changes, name, float(a), float(b))
+            except ValueError:
+                raise Structural(f"line {line}: {name} is not a number") \
+                    from None
+    return changes
+
+
+def _walk(a, b, path, changes):
+    if isinstance(a, dict) and isinstance(b, dict):
+        if sorted(a) != sorted(b):
+            raise Structural(f"{path or '/'}: keys differ")
+        for key in a:
+            _walk(a[key], b[key], f"{path}.{key}" if path else key, changes)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Structural(f"{path}: {len(a)} items against {len(b)}")
+        for u, v in zip(a, b):
+            _walk(u, v, path + "[]", changes)
+    elif isinstance(a, float) and isinstance(b, float):
+        _note(changes, path, a, b)
+    elif type(a) is not type(b) or a != b:
+        raise Structural(f"{path}: {a!r} != {b!r}")
+
+
+def compare_json(path_a: Path, path_b: Path) -> dict:
+    """Largest relative change per float field (list items merged) of two
+    JSON files."""
+    with open(path_a) as fa, open(path_b) as fb:
+        doc_a, doc_b = json.load(fa), json.load(fb)
+    changes: dict = {}
+    _walk(doc_a, doc_b, "", changes)
+    return changes
+
+
+def compare_dirs(dir_a, dir_b, out=sys.stdout) -> int:
+    """Print the comparison of two output directories; return the exit
+    status."""
+    status = 0
+    for name in FILES:
+        path_a, path_b = Path(dir_a) / name, Path(dir_b) / name
+        if not (path_a.is_file() and path_b.is_file()):
+            print(f"{name}: missing", file=out)
+            status = 2
+            continue
+        if path_a.read_bytes() == path_b.read_bytes():
+            print(f"{name}: identical bytes", file=out)
+            continue
+        compare = compare_json if name.endswith(".json") else compare_csv
+        try:
+            changes = compare(path_a, path_b)
+        except Structural as exc:
+            print(f"{name}: structural difference: {exc}", file=out)
+            status = 2
+            continue
+        worst = max(changes.values(), default=0.0)
+        status = max(status, 1 if worst <= REL_TOL else 2)
+        print(f"{name}: bytes differ, largest relative change {worst:.3g}",
+              file=out)
+        for column, change in changes.items():
+            print(f"  {column}: {change:.3g}", file=out)
+    return status
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: compare_runs.py A B", file=sys.stderr)
+        return 2
+    return compare_dirs(*args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

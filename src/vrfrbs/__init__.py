@@ -13,8 +13,8 @@ from .estimators import (BIASED_KINDS, KINDS, UNBIASED_KINDS, EstimatorParams,
                          EstimatorState, TheoryCard, default_params,
                          estimator_step, increasing_batch_schedule,
                          make_estimator, sizing_rule_sides, theory_card)
-from .solver import (DivergenceError, RunTrace, SolverConfig, best_iterate,
-                     run, theory_stepsize, validate_rates)
+from .solver import (DivergenceError, RunTrace, SolverConfig, run,
+                     theory_stepsize, validate_rates)
 
 __all__ = [
     "__version__",
@@ -27,6 +27,6 @@ __all__ = [
     "EstimatorState", "TheoryCard", "make_estimator", "estimator_step",
     "theory_card", "default_params", "sizing_rule_sides",
     "increasing_batch_schedule",
-    "SolverConfig", "RunTrace", "DivergenceError", "run", "best_iterate",
+    "SolverConfig", "RunTrace", "DivergenceError", "run",
     "theory_stepsize", "validate_rates",
 ]

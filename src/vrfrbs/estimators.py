@@ -218,6 +218,17 @@ class _StepEval:
             return self.op.batch_mean(point, idx)
         return self.components(point, idx).mean(axis=0)
 
+    def means(self, points, idx):
+        """Batch means at each of `points` on the same batch, charged one
+        call per point and sample.  One step asks the operator for all of
+        them in one stacked call and gets a (P, dim) array; with trials
+        each point is evaluated as `mean` does."""
+        if self.trials is not None:
+            return [self.mean(point, idx) for point in points]
+        self.calls += len(points) * len(idx)
+        return self.op.batch_mean(np.array(points),
+                                  np.concatenate((idx,) * len(points)))
+
     def components(self, point: np.ndarray, idx) -> np.ndarray:
         """Per-sample values at `point`, charged one call per sample; with
         trials, one evaluation of the flattened (b, T) batch reshaped to
@@ -351,16 +362,22 @@ def _snapshot_coin(ev: _StepEval, x1: np.ndarray, draws: dict):
     return coin, _anchor_at(ev, x1, draws)
 
 
-def _svrg_term(ev: _StepEval, idx, gx, gx1, refresh=None) -> np.ndarray:
-    """anchor - G_B(w) + 2 G_B(x_k) - G_B(x_{k-1}) at the snapshot w, from
-    the batch means `gx`, `gx1` at x_k and x_{k-1} on batch `idx`.
+def _snapshot_points(st: EstimatorState) -> tuple:
+    """The snapshot w as a point to evaluate on the step's batch, or no
+    point when it was taken at x_{k-1}: G_B(w) is then G_B(x_{k-1})."""
+    return () if st.snapshot_tag == st.k - 1 else (st.snapshot,)
 
-    A snapshot taken at x_{k-1} reuses `gx1`.  `refresh` is what
-    `_snapshot_coin` returned: in a trial-batched step the trials whose
-    coin came up use w = x_{k-1} and its new anchor value.
+
+def _svrg_term(ev: _StepEval, gx, gx1, gw, refresh=None) -> np.ndarray:
+    """anchor - G_B(w) + 2 G_B(x_k) - G_B(x_{k-1}) at the snapshot w, from
+    the batch means `gx`, `gx1` at x_k and x_{k-1} and `gw` at w (a list
+    with the batch mean of `_snapshot_points`, or empty when w = x_{k-1}).
+
+    `refresh` is what `_snapshot_coin` returned: in a trial-batched step
+    the trials whose coin came up use w = x_{k-1} and its new anchor value.
     """
     st = ev.st
-    gw = gx1 if st.snapshot_tag == st.k - 1 else ev.mean(st.snapshot, idx)
+    gw = gw[0] if gw else gx1
     anchor = st.anchor_value
     if refresh is not None:
         coin, new_anchor = refresh
@@ -412,7 +429,9 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
 
     Each batch mean is evaluated once and held in a local: the snapshot
     term reuses G_B(x_{k-1}) right after a refresh, and shared hybrid
-    batches reuse the recursion's G_B(x_k) and G_B(x_{k-1}).
+    batches reuse the recursion's G_B(x_k) and G_B(x_{k-1}).  Except for
+    sgd's, the points evaluated on one batch go to the operator in one
+    stacked call.
     """
     kind, pm = state.kind, state.params
     ev = _StepEval(state, trials)
@@ -423,13 +442,17 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         value = 2.0 * gx - gx1
 
     elif kind == SGD:
+        # one call per point: the growing batch soon takes the dense path,
+        # where a stacked call evaluates point by point anyway and its
+        # bookkeeping made sgd slower on policy evaluation
         idx = draws["batch"]
         value = 2.0 * ev.mean(x, idx) - ev.mean(x1, idx)
 
     elif kind == SVRG:
         refresh = _snapshot_coin(ev, x1, draws)
-        idx = draws["batch"]
-        value = _svrg_term(ev, idx, ev.mean(x, idx), ev.mean(x1, idx), refresh)
+        gx, gx1, *gw = ev.means((x, x1) + _snapshot_points(state),
+                                draws["batch"])
+        value = _svrg_term(ev, gx, gx1, gw, refresh)
 
     elif kind == SAGA:
         idx = draws["batch"]
@@ -437,14 +460,16 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         gx = ev.mean(x, idx)
         # sum / b: the bits of .mean(axis=0) without its per-call overhead
         b = len(idx)
-        table_batch = state.table[idx].sum(axis=0) / b
+        old = state.table[idx]
+        table_batch = old.sum(axis=0) / b
         value = state.table_mean - table_batch + 2.0 * gx \
             - comp_x1.sum(axis=0) / b
         if trials is None:
             uniq, first = _first_occurrences(idx)
             new_rows = comp_x1[first]
+            # old[first] is table[uniq]: the rows gathered for table_batch
             state.table_mean = state.table_mean \
-                + (new_rows - state.table[uniq]).sum(axis=0) / state.problem.n_components
+                + (new_rows - old[first]).sum(axis=0) / state.problem.n_components
             state.table[uniq] = new_rows
             state.steps_since_resync += 1
             if state.steps_since_resync >= _SAGA_RESYNC_EVERY:
@@ -462,26 +487,28 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
             if pm.mega_batch == "exact":
                 reset = _exact_direction(ev, x, x1)
             else:
-                sample = draws["mega"]
-                reset = 2.0 * ev.mean(x, sample) - ev.mean(x1, sample)
+                gx, gx1 = ev.means((x, x1), draws["mega"])
+                reset = 2.0 * gx - gx1
         if some_stay:
-            idx = draws["batch"]
-            gx, gx1 = ev.mean(x, idx), ev.mean(x1, idx)
-            stay = state.s_tilde + (2.0 * gx - 3.0 * gx1 + ev.mean(x2, idx))
+            gx, gx1, gx2 = ev.means((x, x1, x2), draws["batch"])
+            stay = state.s_tilde + (2.0 * gx - 3.0 * gx1 + gx2)
         value = _select(coin, reset, stay)
 
     elif kind in (HSGD, HSVRG):
         refresh = _snapshot_coin(ev, x1, draws) if kind == HSVRG else None
-        idx = draws["batch"]
-        gx, gx1 = ev.mean(x, idx), ev.mean(x1, idx)
-        rec = state.s_tilde + (2.0 * gx - 3.0 * gx1 + ev.mean(x2, idx))
-        idx_hat = draws["batch_hat"]
-        if not pm.share_batches:
-            gx, gx1 = ev.mean(x, idx_hat), ev.mean(x1, idx_hat)
+        w_points = _snapshot_points(state) if kind == HSVRG else ()
+        shared = pm.share_batches
+        # a shared batch serves the blended term too: G_B(w) joins the
+        # recursion's call, and G_B(x_k), G_B(x_{k-1}) are reused
+        gx, gx1, gx2, *gw = ev.means(
+            (x, x1, x2) + (w_points if shared else ()), draws["batch"])
+        rec = state.s_tilde + (2.0 * gx - 3.0 * gx1 + gx2)
+        if not shared:
+            gx, gx1, *gw = ev.means((x, x1) + w_points, draws["batch_hat"])
         if kind == HSGD:
             blend = 2.0 * gx - gx1
         else:
-            blend = _svrg_term(ev, idx_hat, gx, gx1, refresh)
+            blend = _svrg_term(ev, gx, gx1, gw, refresh)
         w = pm.omega
         value = (1.0 - w) * rec + w * blend
 

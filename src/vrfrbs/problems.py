@@ -81,6 +81,13 @@ def spectral_norm(mat: np.ndarray, tol: float = 1e-10) -> float:
     return sigma
 
 
+def _stacked_scores(rows, v):
+    """(P, m) scores of a (P, w) stack of points v against their (P, m, w)
+    rows.  Each point is its own matrix-vector product, as for one point,
+    so its scores have the same bits in a stack as on their own."""
+    return (rows @ v[..., None])[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # AUC maximization
 # ---------------------------------------------------------------------------
@@ -198,8 +205,13 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
     def coefficients(z, rows, sel):
         """Per-sample coefficients of the feature row and the three scalar
         slots, given labels and scores s = X w."""
-        pos_i, s = pos[sel], rows[0] @ z[:d]
-        a, bb, al = z[d], z[d + 1], z[d + 2]
+        pos_i = pos[sel]
+        if z.ndim == 1:
+            s = rows[0] @ z[:d]
+            a, bb, al = z[d], z[d + 1], z[d + 2]
+        else:  # a stack of points: the scalars as (P, 1) columns
+            s = _stacked_scores(rows[0], z[:, :d])
+            a, bb, al = z[:, d:, None].transpose(1, 0, 2)
         cw = np.where(pos_i,
                       2.0 * (1 - p) * (s - a) - 2.0 * (1 + al) * (1 - p),
                       2.0 * p * (s - bb) + 2.0 * (1 + al) * p)
@@ -399,8 +411,12 @@ def build_pe_problem(transitions: Transitions, gamma: float,
 
     def coefficients(x, rows, sel):
         ps, ph = rows
-        s_pw = ph @ x[d:]      # phi_t . w
-        return -s_pw, ps @ x[:d] + s_pw - r[sel]
+        if x.ndim == 1:
+            s_pw, s_ps = ph @ x[d:], ps @ x[:d]      # phi_t . w, psi_t . theta
+        else:
+            s_pw = _stacked_scores(ph, x[:, d:])
+            s_ps = _stacked_scores(ps, x[:, :d])
+        return -s_pw, s_ps + s_pw - r[sel]
 
     op = RowOperator(dim=dim, rows=rows,
                      blocks=((slice(0, d), slice(0, d)),
@@ -502,7 +518,8 @@ def strongly_monotone_affine(dim: int, n_components: int, seed,
 
     def coefficients(x, rows, sel):
         # slope rows scaled by u_i . x, offset rows by one
-        return rows[0] @ x, np.ones(len(rows[1]))
+        s = rows[0] @ x if x.ndim == 1 else _stacked_scores(rows[0], x)
+        return s, np.ones(s.shape)
 
     op = RowOperator(dim=d, rows=np.hstack([U, c]),
                      blocks=((slice(0, d), slice(0, d)),

@@ -213,7 +213,7 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
     for k in range(config.max_iters):
         x_next = apply_resolvent(problem.resolvent, x - eta * s_tilde, eta)
         # a nan or inf entry makes the norm nan or inf: one test for both
-        if not np.linalg.norm(x_next) <= DIVERGENCE_NORM:
+        if not math.sqrt(x_next @ x_next) <= DIVERGENCE_NORM:
             trace = RunTrace(records, x, reservoir, iterations, counter.count)
             raise DivergenceError(
                 f"divergence at iteration {k + 1}", trace=trace)
@@ -256,8 +256,3 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
         records.append(TraceRecord(iterations, counter.count, a, rel, wall))
 
     return RunTrace(records, x.copy(), reservoir, iterations, counter.count)
-
-
-def best_iterate(trace: RunTrace) -> np.ndarray:
-    """The reservoir sample: uniform over the visited iterates."""
-    return trace.best_iterate

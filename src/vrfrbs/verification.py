@@ -62,12 +62,6 @@ class McReport:
                 f"{self.margin_sigmas:.17g}, {'pass' if self.passed else 'fail'}")
 
 
-def write_reports(path, reports) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for rep in reports:
-            fh.write(rep.to_line() + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Frozen histories
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ import dataclasses
 
 import numpy as np
 
-from vrfrbs.core import FiniteSumOperator, apply_resolvent
+from vrfrbs.core import apply_resolvent
 
 
 class InstrumentedOperator:
-    """Wraps a FiniteSumOperator and counts logical component evaluations:
-    full -> n, batch access -> len(batch).  Used to audit the estimators'
+    """Wraps a finite-sum operator and counts logical component evaluations:
+    full -> n, batch access -> len(batch), which for a stack of points is
+    the total over their batches.  Used to audit the estimators'
     self-reported call counts."""
 
-    def __init__(self, op: FiniteSumOperator):
+    def __init__(self, op):
         self._op = op
         self.observed = 0
         self.n = op.n

@@ -10,7 +10,7 @@ from vrfrbs.core import FiniteSumOperator, InclusionProblem, identity_resolvent,
 from vrfrbs.estimators import (KINDS, EstimatorParams, _apply_step,
                                _first_occurrences, estimator_step,
                                make_estimator)
-from vrfrbs.problems import linear_toy
+from vrfrbs.problems import linear_toy, strongly_monotone_affine
 
 from helpers import instrumented_problem
 
@@ -322,18 +322,27 @@ def test_full_index_collapse_reproduces_direction(kind):
         assert np.allclose(value, expected, atol=1e-13), kind
 
 
-_ACCOUNTING_CASES = (
-    [pytest.param(kind, {}, id=kind) for kind in KINDS]
-    + [pytest.param(kind, {"share_batches": False}, id=f"{kind}-unshared")
+_ACCOUNTING_VARIANTS = (
+    [(kind, {}, kind) for kind in KINDS]
+    + [(kind, {"share_batches": False}, f"{kind}-unshared")
        for kind in ("hsgd", "hsvrg")]
-    + [pytest.param(kind, {"mega_batch": 5}, id=f"{kind}-mega")
+    + [(kind, {"mega_batch": 5}, f"{kind}-mega")
        for kind in ("svrg", "sarah", "hsgd", "hsvrg")])
+# every variant on the toy, a FiniteSumOperator, and on a RowOperator, whose
+# batch_mean evaluates a step's points in one stacked call
+_ACCOUNTING_CASES = (
+    [pytest.param(kind, extra, lambda: linear_toy(n=8, dim=3, seed=11),
+                  id=name) for kind, extra, name in _ACCOUNTING_VARIANTS]
+    + [pytest.param(kind, extra,
+                    lambda: strongly_monotone_affine(dim=3, n_components=8,
+                                                     seed=11),
+                    id=f"{name}-row-operator")
+       for kind, extra, name in _ACCOUNTING_VARIANTS])
 
 
-@pytest.mark.parametrize("kind, extra", _ACCOUNTING_CASES)
-def test_call_accounting_matches_instrumented_operator(kind, extra):
-    base = linear_toy(n=8, dim=3, seed=11)
-    prob, wrapped = instrumented_problem(base)
+@pytest.mark.parametrize("kind, extra, build", _ACCOUNTING_CASES)
+def test_call_accounting_matches_instrumented_operator(kind, extra, build):
+    prob, wrapped = instrumented_problem(build())
     params = dataclasses.replace(params_for(kind, 8, b=3), **extra)
     x0 = np.zeros(3)
     st_ = make_estimator(kind, params, prob, x0, seed=4)

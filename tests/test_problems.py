@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vrfrbs import problems
-from vrfrbs.core import apply_resolvent, eval_full
+from vrfrbs.core import StochasticOracle, apply_resolvent, eval_full
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
                              gen_auc_dataset, gen_random_mdp,
@@ -546,6 +546,42 @@ def test_row_operator_matches_per_block_evaluation_bitwise(family):
                               _per_block_components(op, blocks, x, idx)), m
         assert np.array_equal(op.batch_mean(x, idx),
                               _per_block_mean(op, blocks, x, idx)), m
+
+
+def _stack_operator(family):
+    if family == "linear-toy":
+        return problems.linear_toy(n=10, dim=4, seed=2).forward
+    if family == "oracle":
+        A = np.eye(3) + 0.2 * np.arange(9.0).reshape(3, 3)
+        return StochasticOracle(
+            dim=3, sampler=lambda r, size: r.standard_normal((size, 3)),
+            evaluator=lambda x, xi: (A @ x)[None, :] + 0.5 * xi)
+    return _row_operator(family)
+
+
+@pytest.mark.parametrize("family",
+                         ["auc", "pe", "affine-toy", "linear-toy", "oracle"])
+def test_stacked_batch_mean_equals_per_point_calls(family):
+    """A (P, dim) stack of points with P batches back to back gives each
+    point's own batch mean bit for bit, P = 1 included."""
+    op = _stack_operator(family)
+    n = op.n
+    rng = np.random.default_rng(4)
+    # both sides of the n // 4 switch between the gather and dense paths
+    sizes = (1, 2, 9) if n is None else (1, 2, n // 4 - 1, n // 4, n,
+                                         3 * n // 2)
+    for m in sizes:
+        for P in (1, 2, 3, 4):
+            X = rng.standard_normal((P, op.dim))
+            parts = [op.draw(rng, m) for _ in range(P)]
+            parts[0][-1] = parts[0][0]  # a repeated sample whenever m > 1
+            if P > 1:
+                parts[1] = parts[0]  # two points on one batch, as in a step
+            got = op.batch_mean(X, np.concatenate(parts))
+            assert got.shape == (P, op.dim)
+            for p in range(P):
+                assert np.array_equal(got[p], op.batch_mean(X[p], parts[p])), \
+                    (m, P, p)
 
 
 # --- dense affine toys -------------------------------------------------------

@@ -1,21 +1,27 @@
-"""The experiment scripts build their matrices from scripts/configs."""
+"""The experiment scripts build their matrices from scripts/configs, and
+compare_runs.py grades the difference between two runs."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from vrfrbs.bench import load_config
+from vrfrbs.bench import load_config, run_experiment
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def build_config(script):
+def _load_script(script):
     spec = importlib.util.spec_from_file_location(script, SCRIPTS / script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.build_config
+    return module
+
+
+def build_config(script):
+    return _load_script(script).build_config
 
 
 @pytest.mark.parametrize("script,desk,args,sizes", [
@@ -35,3 +41,50 @@ def test_script_matrix_is_the_desk_config(script, desk, args, sizes):
     assert config["run"] == {"epochs": epochs,
                              "record_every_epochs": max(1.0, epochs / 200),
                              "seeds": seeds}
+
+
+# --- compare_runs.py ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy-run")
+    run_experiment({
+        "experiment_id": "compare",
+        "problem": {"family": "affine-toy", "dim": 4, "components": 30,
+                    "seed": 5},
+        "algorithms": [{"name": kind, "estimator": kind,
+                        "params": {"b": 4, "p_switch": 0.3}, "eta": "1/8L"}
+                       for kind in ("svrg", "sarah")],
+        "run": {"epochs": 3, "record_every_epochs": 1.0, "seeds": [0, 1]},
+    }, out)
+    return out
+
+
+def _edit_last_row(run_dir, column, edit):
+    """Copy of a run whose last runs.csv row has `column` replaced by
+    edit(old value)."""
+    path = run_dir / "runs.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[-1].split(",")
+    i = header.index(column)
+    fields[i] = edit(fields[i])
+    lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit, status", [
+    (None, 0),
+    (("rel_residual", lambda v: format(float(v) * (1 + 1e-12), ".17g")), 1),
+    (("rel_residual", lambda v: format(float(v) * (1 + 1e-6), ".17g")), 2),
+    (("iter", lambda v: str(int(v) + 1)), 2),
+], ids=["same", "rounding", "beyond", "iterations"])
+def test_compare_runs_exit_status(toy_run, tmp_path, edit, status, capsys):
+    other = tmp_path / "other"
+    shutil.copytree(toy_run, other)
+    if edit is not None:
+        _edit_last_row(other, *edit)
+    compare = _load_script("compare_runs.py")
+    assert compare.main([str(toy_run), str(other)]) == status
+    report = capsys.readouterr().out
+    assert report.count("identical bytes") == (3 if status == 0 else 2)

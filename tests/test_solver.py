@@ -7,7 +7,7 @@ from vrfrbs.estimators import EstimatorParams, make_estimator
 from vrfrbs.problems import (affine_problem_from_components, bilinear_problem,
                              linear_toy, strongly_monotone_affine)
 from vrfrbs.solver import (DIVERGENCE_NORM, DivergenceError, SolverConfig,
-                           best_iterate, run, theory_stepsize)
+                           run, theory_stepsize)
 
 from helpers import frbs_reference
 
@@ -163,7 +163,7 @@ def test_best_iterate_no_steps_returns_x0():
     prob = scalar_identity_problem()
     est = make_full(prob, [1.0])
     trace = run(prob, est, SolverConfig(eta=0.1, max_iters=0))
-    assert best_iterate(trace) == pytest.approx([1.0])
+    assert trace.best_iterate == pytest.approx([1.0])
 
 
 def test_best_iterate_uniform_over_two_iterates():
@@ -173,7 +173,7 @@ def test_best_iterate_uniform_over_two_iterates():
     for s in range(reps):
         est = make_full(prob, [1.0])
         trace = run(prob, est, SolverConfig(eta=0.1, max_iters=1, seed=s))
-        if best_iterate(trace) == pytest.approx([1.0]):
+        if trace.best_iterate == pytest.approx([1.0]):
             hits += 1
     freq = hits / reps
     assert 0.44 <= freq <= 0.56
@@ -184,8 +184,8 @@ def test_best_iterate_replay_deterministic():
 
     def go():
         est = make_full(prob, np.ones(2), seed=1)
-        return best_iterate(run(prob, est,
-                                SolverConfig(eta=0.1, max_iters=20, seed=42)))
+        return run(prob, est,
+                   SolverConfig(eta=0.1, max_iters=20, seed=42)).best_iterate
 
     assert np.array_equal(go(), go())
 
@@ -198,7 +198,7 @@ def test_best_iterate_uniform_chi_square():
     for s in range(reps):
         est = make_full(prob, [1.0])
         trace = run(prob, est, SolverConfig(eta=0.1, max_iters=4, seed=s))
-        chosen = best_iterate(trace)[0]
+        chosen = trace.best_iterate[0]
         # iterates are distinct scalars; match against the trajectory
         traj = [1.0]
         xp, xc = 1.0, 1.0

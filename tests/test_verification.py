@@ -8,7 +8,7 @@ from vrfrbs.verification import (MC_CHUNK, McReport, _mc_error_chunks,
                                  _mc_moments, _next_step, build_history,
                                  check_bias_recursion, check_unbiased,
                                  check_variance_recursion,
-                                 enumerate_step_mean, write_reports)
+                                 enumerate_step_mean)
 
 
 def history_for(kind, params, n=10, dim=4, seed=0, problem_seed=1):
@@ -157,7 +157,7 @@ def test_variance_recursion_sgd_bound_structure():
     assert rep.target[0] >= hist.delta_k
 
 
-def test_report_line_format(tmp_path):
+def test_report_line_format():
     rep = McReport(name="unbiased/sgd", trials=10,
                    sample_mean=np.array([0.0, 0.0]), std_error=0.5,
                    target=np.array([0.0, 0.0]), margin_sigmas=0.0,
@@ -168,9 +168,6 @@ def test_report_line_format(tmp_path):
     assert parts[1] == "10"
     assert parts[-1] == "pass"
     assert len(parts) == 7
-    path = tmp_path / "reports.txt"
-    write_reports(path, [rep])
-    assert path.read_text().strip() == line
 
 
 def test_every_kind_passes_defining_check_at_default_params():
