@@ -55,8 +55,10 @@ def _charge(counter: Optional[CallCounter], k: int) -> None:
 def _part_means(batch_mean, x, idx):
     """Batch means of a stack of points, one call per point on its part."""
     m = len(idx) // len(x)
-    return np.array([batch_mean(point, idx[p * m:(p + 1) * m])
-                     for p, point in enumerate(x)])
+    out = np.empty(x.shape)
+    for p, point in enumerate(x):
+        out[p] = batch_mean(point, idx[p * m:(p + 1) * m])
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ class FiniteSumOperator:
         points, one mean per point over its own part of `idx`."""
         if x.ndim == 2:
             return _part_means(self.batch_mean, x, idx)
-        return self.batch_components(x, idx).mean(axis=0)
+        # the bits of .mean(axis=0) without its Python-level wrapper
+        return np.add.reduce(self.batch_components(x, idx), axis=0) / len(idx)
 
     def full(self, x: np.ndarray) -> np.ndarray:
         if self.full_eval is not None:
@@ -132,7 +135,7 @@ class RowOperator:
     common: Optional[Callable[[np.ndarray], np.ndarray]] = None
     n: int = field(init=False)   # number of components, len(rows)
     # per block: no common term and no earlier block writes its slot, so
-    # batch_components may write its rows' contribution instead of adding it
+    # an evaluation may write its contribution instead of adding it
     _writes_first: Tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -151,7 +154,10 @@ class RowOperator:
         return rng.integers(0, self.n, size=size)
 
     def _select(self, x, sel):
-        picked = self.rows[sel]
+        # take copies the same rows as fancy indexing, with less overhead;
+        # a slice stays a view
+        picked = self.rows[sel] if isinstance(sel, slice) \
+            else self.rows.take(sel, axis=0)
         rows = tuple([None if cols is None else picked[..., cols]
                       for _, cols in self.blocks])
         return rows, self.coefficients(x, rows, sel)
@@ -199,15 +205,20 @@ class RowOperator:
         out = np.zeros(x.shape)
         if self.common is not None:
             out += self.common(x)
-        for (slot, _), R, c in zip(self.blocks, rows, coefs):
-            if not stacked:
-                out[slot] += (c.sum() if R is None else R.T @ c) / m
-            elif R is None:
-                out[:, slot] += c.sum(axis=1) / m
-            else:
+        for (slot, _), R, c, first in zip(self.blocks, rows, coefs,
+                                          self._writes_first):
+            if R is None:
+                total = c.sum(axis=-1)
+            elif stacked:
                 # c_p^T R_p for each point p: a (P, 1, m) @ (P, m, w) stack
                 # of vector-matrix products
-                out[:, slot] += (c[:, None, :] @ R)[:, 0] / m
+                total = (c[:, None, :] @ R)[:, 0]
+            else:
+                total = R.T @ c
+            if first:
+                np.divide(total, m, out=out[..., slot])
+            else:
+                out[..., slot] += total / m
         return out
 
     def full(self, x: np.ndarray) -> np.ndarray:
@@ -339,8 +350,10 @@ def apply_resolvent(res: Resolvent, z: np.ndarray, eta: float = 1.0) -> np.ndarr
         out = z.copy()
         lam = eta * res.weight
         if lam > 0:
+            # th - clip(th) is sign(th) * max(|th| - lam, 0), up to the
+            # sign of zero entries
             th = out[: res.theta_dim]
-            np.copysign(np.maximum(np.abs(th) - lam, 0.0), th, out=th)
+            th -= th.clip(-lam, lam)
         return out
     raise ValueError(f"unknown resolvent kind {res.kind!r}")
 

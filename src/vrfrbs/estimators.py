@@ -127,6 +127,9 @@ class EstimatorState:
     steps_since_resync: int = 0
     # exact value kept between sarah's exact resets: (iterate index, value)
     last_full: Optional[tuple] = None
+    # indices drawn but not yet used, for the kinds that draw ahead (see
+    # `_draw_batch`); None for the kinds that draw per step
+    ahead: Optional[np.ndarray] = None
 
     @property
     def calls(self) -> int:
@@ -151,10 +154,18 @@ class EstimatorState:
             table_mean=None if self.table_mean is None else self.table_mean.copy(),
             steps_since_resync=self.steps_since_resync,
             last_full=self.last_full,
+            # the clone draws from its own generator
+            ahead=None if self.ahead is None else _NOTHING_AHEAD,
         )
 
 
 _SAGA_RESYNC_EVERY = 512
+
+# saga and hsgd on finite sums draw nothing but batch indices, so they draw
+# them _DRAW_CHUNK at a time (see `_draw_batch`)
+_DRAWS_AHEAD = (SAGA, HSGD)
+_DRAW_CHUNK = 4096
+_NOTHING_AHEAD = np.empty(0, dtype=np.int64)
 
 
 def _validate_params(kind: str, params: EstimatorParams,
@@ -216,7 +227,7 @@ class _StepEval:
         if self.trials is None:
             self.calls += len(idx)
             return self.op.batch_mean(point, idx)
-        return self.components(point, idx).mean(axis=0)
+        return np.add.reduce(self.components(point, idx), axis=0) / len(idx)
 
     def means(self, points, idx):
         """Batch means at each of `points` on the same batch, charged one
@@ -260,11 +271,26 @@ def _draw_batch(state: EstimatorState, size: int,
                 trials: Optional[int] = None):
     """`size` samples, or `size * trials` samples drawn in one call, of which
     trial t owns rows [t * size, (t + 1) * size) of the stream, returned as
-    a batch-major (size, trials, ...) view: column t is trial t's batch."""
-    if trials is None:
-        return state.problem.forward.draw(state.rng, int(size))
-    sample = state.problem.forward.draw(state.rng, trials * int(size))
-    return sample.reshape((trials, int(size)) + sample.shape[1:]).swapaxes(0, 1)
+    a batch-major (size, trials, ...) view: column t is trial t's batch.
+
+    A state that draws ahead serves one step's samples from indices it drew
+    earlier, refilled at least _DRAW_CHUNK at a time.  Consecutive
+    `Generator.integers(0, n, size=m)` calls give the same stream as one
+    call of their summed size, so the batches are those of per-step draws.
+    """
+    size = int(size)
+    op = state.problem.forward
+    if trials is not None:
+        sample = op.draw(state.rng, trials * size)
+        return sample.reshape((trials, size) + sample.shape[1:]).swapaxes(0, 1)
+    ahead = state.ahead
+    if ahead is None:
+        return op.draw(state.rng, size)
+    if len(ahead) < size:
+        ahead = np.concatenate(
+            (ahead, op.draw(state.rng, max(size, _DRAW_CHUNK))))
+    state.ahead = ahead[size:]
+    return ahead[:size]
 
 
 def _sgd_batch_size(state: EstimatorState, x, x1, x2) -> int:
@@ -368,10 +394,11 @@ def _snapshot_points(st: EstimatorState) -> tuple:
     return () if st.snapshot_tag == st.k - 1 else (st.snapshot,)
 
 
-def _svrg_term(ev: _StepEval, gx, gx1, gw, refresh=None) -> np.ndarray:
+def _svrg_term(ev: _StepEval, two_gx, gx1, gw, refresh=None) -> np.ndarray:
     """anchor - G_B(w) + 2 G_B(x_k) - G_B(x_{k-1}) at the snapshot w, from
-    the batch means `gx`, `gx1` at x_k and x_{k-1} and `gw` at w (a list
-    with the batch mean of `_snapshot_points`, or empty when w = x_{k-1}).
+    `two_gx` = 2 G_B(x_k), the batch mean `gx1` at x_{k-1} and `gw` at w (a
+    list with the batch mean of `_snapshot_points`, or empty when
+    w = x_{k-1}).
 
     `refresh` is what `_snapshot_coin` returned: in a trial-batched step
     the trials whose coin came up use w = x_{k-1} and its new anchor value.
@@ -383,7 +410,7 @@ def _svrg_term(ev: _StepEval, gx, gx1, gw, refresh=None) -> np.ndarray:
         coin, new_anchor = refresh
         anchor = _select(coin, new_anchor, anchor)
         gw = _select(coin, gx1, gw)
-    return anchor - gw + 2.0 * gx - gx1
+    return anchor - gw + two_gx - gx1
 
 
 def _exact_direction(ev: _StepEval, x, x1) -> np.ndarray:
@@ -405,8 +432,8 @@ def _first_occurrences(idx):
     but without its per-call overhead.  saga stores the first occurrence's
     row: rows of a repeated index may differ in the last bit by position.
     """
-    order = np.argsort(idx, kind="stable")
-    srt = idx[order]
+    order = idx.argsort(kind="stable")
+    srt = idx.take(order)
     keep = np.empty(len(srt), dtype=bool)
     keep[0] = True
     np.not_equal(srt[1:], srt[:-1], out=keep[1:])
@@ -452,24 +479,26 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         refresh = _snapshot_coin(ev, x1, draws)
         gx, gx1, *gw = ev.means((x, x1) + _snapshot_points(state),
                                 draws["batch"])
-        value = _svrg_term(ev, gx, gx1, gw, refresh)
+        value = _svrg_term(ev, 2.0 * gx, gx1, gw, refresh)
 
     elif kind == SAGA:
         idx = draws["batch"]
         comp_x1 = ev.components(x1, idx)
         gx = ev.mean(x, idx)
-        # sum / b: the bits of .mean(axis=0) without its per-call overhead
+        # add.reduce / b: the bits of .mean(axis=0) without its Python
+        # wrapper; take gathers the same rows as indexing, with less overhead
         b = len(idx)
-        old = state.table[idx]
-        table_batch = old.sum(axis=0) / b
+        old = state.table.take(idx, axis=0)
+        table_batch = np.add.reduce(old, axis=0) / b
         value = state.table_mean - table_batch + 2.0 * gx \
-            - comp_x1.sum(axis=0) / b
+            - np.add.reduce(comp_x1, axis=0) / b
         if trials is None:
             uniq, first = _first_occurrences(idx)
-            new_rows = comp_x1[first]
+            new_rows = comp_x1.take(first, axis=0)
             # old[first] is table[uniq]: the rows gathered for table_batch
-            state.table_mean = state.table_mean \
-                + (new_rows - old[first]).sum(axis=0) / state.problem.n_components
+            state.table_mean = state.table_mean + np.add.reduce(
+                new_rows - old.take(first, axis=0), axis=0) \
+                / state.problem.n_components
             state.table[uniq] = new_rows
             state.steps_since_resync += 1
             if state.steps_since_resync >= _SAGA_RESYNC_EVERY:
@@ -502,13 +531,15 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         # recursion's call, and G_B(x_k), G_B(x_{k-1}) are reused
         gx, gx1, gx2, *gw = ev.means(
             (x, x1, x2) + (w_points if shared else ()), draws["batch"])
-        rec = state.s_tilde + (2.0 * gx - 3.0 * gx1 + gx2)
+        two_gx = 2.0 * gx
+        rec = state.s_tilde + (two_gx - 3.0 * gx1 + gx2)
         if not shared:
             gx, gx1, *gw = ev.means((x, x1) + w_points, draws["batch_hat"])
+            two_gx = 2.0 * gx
         if kind == HSGD:
-            blend = 2.0 * gx - gx1
+            blend = two_gx - gx1
         else:
-            blend = _svrg_term(ev, gx, gx1, gw, refresh)
+            blend = _svrg_term(ev, two_gx, gx1, gw, refresh)
         w = pm.omega
         value = (1.0 - w) * rec + w * blend
 
@@ -538,6 +569,8 @@ def make_estimator(kind: str, params: EstimatorParams,
     rng = np.random.default_rng(seed)
     st = EstimatorState(kind=kind, params=params, problem=problem,
                         x0=x0.copy(), rng=rng)
+    if kind in _DRAWS_AHEAD and problem.is_finite_sum:
+        st.ahead = _NOTHING_AHEAD
     ev = _StepEval(st)
     exact = params.mega_batch == "exact"
 

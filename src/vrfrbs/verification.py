@@ -272,8 +272,9 @@ class _Moments:
 
     def add(self, chunk: np.ndarray) -> None:
         size = len(chunk)
-        mean = chunk.mean(axis=0)
-        m2 = ((chunk - mean) ** 2).sum(axis=0)
+        # add.reduce: the bits of .mean and .sum without their wrappers
+        mean = np.add.reduce(chunk, axis=0) / size
+        m2 = np.add.reduce((chunk - mean) ** 2, axis=0)
         total = self.count + size
         delta = mean - self.mean
         self.mean = self.mean + delta * (size / total)

@@ -90,6 +90,26 @@ def test_soft_threshold_scales_with_eta():
     assert out == pytest.approx([1.5])
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("eta, weight", [(0.5, 0.6), (1.0, 0.0), (0.0, 2.0)])
+def test_soft_threshold_matches_copysign_form(seed, eta, weight):
+    # == treats +0 and -0 as equal: the in-place form may give either sign
+    # on a zeroed entry, and every other entry must carry the same bits
+    rng = np.random.default_rng(seed)
+    lam = eta * weight
+    theta_dim = 40
+    z = rng.uniform(-3.0, 3.0, 60) * max(lam, 1.0)
+    z[:8] = [lam, -lam, 0.0, -0.0, lam / 2, -lam / 2,
+             np.nextafter(lam, np.inf), -np.nextafter(lam, np.inf)]
+    out = apply_resolvent(soft_threshold_resolvent(weight, theta_dim), z, eta)
+    want = z.copy()
+    want[:theta_dim] = np.copysign(
+        np.maximum(np.abs(z[:theta_dim]) - lam, 0.0), z[:theta_dim])
+    assert np.all(out == want)
+    assert np.array_equal(out[theta_dim:], z[theta_dim:])
+    assert out is not z
+
+
 def test_box_clip():
     res = ball_box_resolvent(np.inf, [5.0])
     out = apply_resolvent(res, np.array([0.0, 7.0]))

@@ -1,18 +1,24 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vrfrbs import estimators
 from vrfrbs.bench import build_problem, run_experiment
-from vrfrbs.core import FiniteSumOperator, InclusionProblem, identity_resolvent, UnsupportedConfigError
+from vrfrbs.core import (FiniteSumOperator, InclusionProblem, StochasticOracle,
+                         identity_resolvent, UnsupportedConfigError)
 from vrfrbs.estimators import (KINDS, EstimatorParams, _apply_step,
                                _first_occurrences, estimator_step,
                                make_estimator)
 from vrfrbs.problems import linear_toy, strongly_monotone_affine
 
 from helpers import instrumented_problem
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def components_only_problem(n=4, dim=3, seed=0):
@@ -197,6 +203,95 @@ def test_first_occurrences_match_np_unique():
         assert np.array_equal(first, want_first)
 
 
+# The draw-ahead contract: saga and hsgd draw their batch indices ahead in
+# chunks, which gives the batches of per-step draws only because consecutive
+# Generator.integers calls continue one stream.  A numpy that breaks this
+# fails here.
+@pytest.mark.parametrize("n", [2, 50, 2000, 2**31 + 11, 2**33])
+@pytest.mark.parametrize("seed", range(8))
+def test_consecutive_draws_continue_one_stream(n, seed):
+    op = FiniteSumOperator(n=n, dim=1, batch_components=None)
+    sizes = [79, 1, 4096, 3, 250, 17]   # an odd total leaves a 32-bit half
+    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+    one.random()
+    many.random()
+    whole = op.draw(one, sum(sizes))
+    parts = np.concatenate([op.draw(many, m) for m in sizes])
+    assert np.array_equal(whole, parts)
+    assert one.bit_generator.state == many.bit_generator.state
+    assert np.array_equal(op.draw(one, 5), op.draw(many, 5))
+
+
+# the kinds that draw ahead, with two batches a step and a mega-batch start
+_DRAW_AHEAD_CASES = {
+    "saga": ("saga", {"b": 45}),
+    "hsgd": ("hsgd", {"b": 45, "omega": 0.5}),
+    "hsgd-unshared": ("hsgd", {"b": 45, "omega": 0.5,
+                               "share_batches": False}),
+    "hsgd-mega": ("hsgd", {"b": 45, "omega": 0.5, "mega_batch": 33}),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRAW_AHEAD_CASES))
+def test_draw_ahead_batches_match_per_step_draws(name, monkeypatch):
+    kind, extra = _DRAW_AHEAD_CASES[name]
+    drawn = []
+    draw_batch = estimators._draw_batch
+
+    def recording(state, size, trials=None):
+        batch = draw_batch(state, size, trials)
+        drawn.append(batch.copy())
+        return batch
+
+    monkeypatch.setattr(estimators, "_draw_batch", recording)
+    prob = strongly_monotone_affine(dim=3, n_components=50, seed=3)
+    st_ = make_estimator(kind, EstimatorParams(**extra), prob, np.zeros(3),
+                         seed=8)
+    rng = np.random.default_rng(4)
+    pts = [np.zeros(3)]
+    for k in range(1, 201):
+        pts.append(pts[-1] + 0.1 * rng.standard_normal(3))
+        estimator_step(st_, pts[k], pts[k - 1], pts[max(k - 2, 0)])
+    per_step = 2 if extra.get("share_batches") is False else 1
+    assert [len(b) for b in drawn] == \
+        [33] * ("mega_batch" in extra) + [45] * (200 * per_step)
+    # 9000 or more indices: the chunk was refilled with a leftover
+    assert 0 < len(st_.ahead) < estimators._DRAW_CHUNK
+    stream = np.random.default_rng(8)
+    for batch in drawn:
+        assert np.array_equal(batch, stream.integers(0, 50, size=len(batch)))
+
+
+def test_only_saga_and_hsgd_on_finite_sums_draw_ahead():
+    prob = linear_toy(n=8, dim=3, seed=1)
+    for kind in KINDS:
+        st_ = make_estimator(kind, params_for(kind, 8, b=3), prob,
+                             np.zeros(3), seed=0)
+        assert (st_.ahead is not None) == (kind in ("saga", "hsgd")), kind
+    oracle = dataclasses.replace(prob, forward=StochasticOracle(
+        dim=3, sampler=lambda rng, size: rng.integers(0, 8, size=size),
+        evaluator=lambda x, xi: prob.forward.batch_components(x, xi)))
+    st_ = make_estimator("hsgd", EstimatorParams(b=3, omega=0.5,
+                                                 mega_batch=4),
+                         oracle, np.zeros(3), seed=0)
+    assert st_.ahead is None
+
+
+def test_clone_starts_with_nothing_drawn_ahead():
+    prob = strongly_monotone_affine(dim=3, n_components=50, seed=3)
+    st_ = make_estimator("saga", EstimatorParams(b=5), prob, np.zeros(3),
+                         seed=2)
+    x = np.ones(3)
+    estimator_step(st_, x, np.zeros(3), np.zeros(3))
+    left = st_.ahead.copy()
+    assert len(left) == estimators._DRAW_CHUNK - 5
+    twin = st_.clone(np.random.default_rng(9))
+    assert twin.ahead is not None and len(twin.ahead) == 0
+    assert np.array_equal(st_.ahead, left)
+    estimators._make_draws(twin, x, x, x)
+    assert len(twin.ahead) == estimators._DRAW_CHUNK - 5
+
+
 def test_saga_running_mean_stays_synced():
     prob = components_only_problem(n=8)
     rng = np.random.default_rng(3)
@@ -358,34 +453,52 @@ def test_call_accounting_matches_instrumented_operator(kind, extra, build):
     assert st_.calls == wrapped.observed
 
 
-# (iterations, oracle_calls) of every cell of a 10-epoch affine-toy matrix
-# (n = 30, budget 300 calls).  The call audit above passes when a shared
-# batch mean is evaluated and charged twice; these counts do not.
+# (iterations, oracle_calls, final_rel_residual) of every cell of a 10-epoch
+# affine-toy matrix (n = 30, budget 300 calls).  The call audit above passes
+# when a shared batch mean is evaluated and charged twice; these counts do
+# not.  The residuals are written at 17 digits and compared within 1e-9
+# relative, so a change to any step formula fails here.
 STEP_MATRIX = {
-    "full": ("full", {}, (6, 330)),
-    "sgd": ("sgd", {"sgd_coeff": 0.05}, (20, 321)),
-    "saga": ("saga", {"b": 4}, (35, 302)),
-    "svrg": ("svrg", {"b": 4, "p_switch": 0.3}, (17, 322)),
+    "full": ("full", {}, (6, 330, 0.49138345035377251)),
+    "sgd": ("sgd", {"sgd_coeff": 0.05}, (20, 321, 0.45979771248003071)),
+    "saga": ("saga", {"b": 4}, (35, 302, 0.032287211429997562)),
+    "svrg": ("svrg", {"b": 4, "p_switch": 0.3},
+             (17, 322, 0.13715754583918485)),
     "svrg-mega": ("svrg", {"b": 4, "p_switch": 0.3, "mega_batch": 10},
-                  (21, 300)),
-    "sarah": ("sarah", {"b": 4, "p_switch": 0.3}, (12, 342)),
-    "sarah-p1": ("sarah", {"b": 4, "p_switch": 1.0}, (10, 300)),
+                  (21, 300, 0.63745666525775402)),
+    "sarah": ("sarah", {"b": 4, "p_switch": 0.3},
+              (12, 342, 0.24513471454108485)),
+    "sarah-p1": ("sarah", {"b": 4, "p_switch": 1.0},
+                 (10, 300, 0.30905963606593151)),
     "sarah-mega": ("sarah", {"b": 4, "p_switch": 0.3, "mega_batch": 10},
-                   (22, 302)),
-    "hsgd": ("hsgd", {"b": 4, "omega": 0.5}, (24, 306)),
+                   (22, 302, 0.6250074723718273)),
+    "hsgd": ("hsgd", {"b": 4, "omega": 0.5},
+             (24, 306, 0.56875541053135448)),
     "hsgd-unshared": ("hsgd", {"b": 4, "omega": 0.5, "share_batches": False},
-                      (15, 310)),
+                      (15, 310, 0.22447683016635608)),
     "hsgd-mega": ("hsgd", {"b": 4, "omega": 0.5, "mega_batch": 10},
-                  (26, 310)),
-    "hsvrg": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5}, (13, 322)),
+                  (26, 310, 0.44564163071999069)),
+    "hsvrg": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5},
+              (13, 322, 0.21847278161371991)),
     "hsvrg-unshared": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5,
-                                 "share_batches": False}, (11, 318)),
+                                 "share_batches": False},
+                       (11, 318, 0.27523425709140226)),
     "hsvrg-mega": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5,
-                             "mega_batch": 10}, (17, 304)),
+                             "mega_batch": 10},
+                   (17, 304, 1.601697498473859)),
     "hsvrg-mega-unshared": ("hsvrg", {"b": 4, "p_switch": 0.3, "omega": 0.5,
                                       "mega_batch": 10,
-                                      "share_batches": False}, (12, 306)),
+                                      "share_batches": False},
+                            (12, 306, 0.41006641693927831)),
 }
+
+
+def _pinned(cells, key):
+    """key(cell) -> (iterations, oracle_calls, residual), the residual
+    wrapped in approx so that it compares within 1e-9 relative."""
+    return {key(c): (c["iterations"], c["oracle_calls"],
+                     pytest.approx(c["final_rel_residual"], rel=1e-9, abs=0))
+            for c in cells}
 
 
 def test_step_matrix_iterations_and_calls(tmp_path):
@@ -399,8 +512,56 @@ def test_step_matrix_iterations_and_calls(tmp_path):
         "run": {"epochs": 10, "record_every_epochs": 5.0, "seeds": [0]},
     }
     cells = run_experiment(config, tmp_path)
-    got = {c["algorithm"]: (c["iterations"], c["oracle_calls"]) for c in cells}
+    got = _pinned(cells, key=lambda c: c["algorithm"])
     assert got == {name: cell[2] for name, cell in STEP_MATRIX.items()}
+
+
+# (iterations, oracle_calls, final_rel_residual) per (algorithm, seed) of the
+# six algorithms of each desk config on a small instance, 2 seeds, 8 epochs:
+# the RowOperator gather and dense paths, with the soft-threshold (policy
+# evaluation) and ball-box (AUC) resolvents.
+DESK_MATRICES = {
+    "policy_eval_desk": ({"states": 20, "actions": 4, "transitions": 200}, {
+        ("svrg", 0): (21, 1752, 0.072286495894847994),
+        ("svrg", 1): (18, 1782, 0.0672965744122445),
+        ("saga", 0): (43, 1628, 0.068693587083250837),
+        ("saga", 1): (43, 1628, 0.070519317478747748),
+        ("sgd", 0): (25, 1627, 0.086942587389065629),
+        ("sgd", 1): (25, 1627, 0.066222700369048662),
+        ("sarah", 0): (28, 1614, 0.085995063632511234),
+        ("sarah", 1): (9, 1917, 0.35155550549089476),
+        ("hsgd", 0): (37, 1604, 0.079668357886224644),
+        ("hsgd", 1): (37, 1604, 0.081949826978992821),
+        ("hsvrg", 0): (19, 1684, 0.13747832936298077),
+        ("hsvrg", 1): (18, 1819, 0.13763696453703309),
+    }),
+    "auc_desk": ({"n": 300, "d": 5}, {
+        ("svrg", 0): (25, 2418, 0.29381710222514607),
+        ("svrg", 1): (17, 2446, 0.3865678523510227),
+        ("saga", 0): (49, 2412, 0.43622798279537733),
+        ("saga", 1): (49, 2412, 0.34896799919222715),
+        ("sgd", 0): (43, 2485, 0.08497951041047544),
+        ("sgd", 1): (43, 2485, 0.12454475939651675),
+        ("sarah", 0): (20, 2664, 0.24268290785895602),
+        ("sarah", 1): (15, 2940, 0.32304691409146358),
+        ("hsgd", 0): (40, 2406, 0.40688654668248758),
+        ("hsgd", 1): (40, 2406, 0.11321221021989576),
+        ("hsvrg", 0): (20, 2496, 0.35503686788727951),
+        ("hsvrg", 1): (19, 2424, 0.36827609495289904),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(DESK_MATRICES))
+def test_desk_matrix_iterations_calls_and_residuals(name, tmp_path):
+    size, pinned = DESK_MATRICES[name]
+    config = json.loads(
+        (REPO / "scripts" / "configs" / f"{name}.json").read_text())
+    config["problem"].update(size)
+    config["run"] = {"epochs": 8, "record_every_epochs": 4.0, "seeds": [0, 1]}
+    cells = run_experiment(config, tmp_path)
+    got = _pinned(cells, key=lambda c: (c["algorithm"], c["seed"]))
+    assert got == pinned
 
 
 @pytest.mark.parametrize("kind", KINDS)
