@@ -103,24 +103,32 @@ class RowOperator:
 
     G_i(x) = common(x) + sum_k coef_k(x, i) * rows[i, cols_k], where block
     k writes the columns cols_k of row i of the (n, W) data matrix, scaled
-    by a scalar coefficient, into out[slot_k].  A block without rows
-    (cols_k = None) writes the coefficient itself into the single
-    coordinate slot_k.  Blocks may share slots; their contributions add.
-    An evaluation gathers the selected rows once, for all blocks and, for a
-    stack of points, for all points.
+    by a scalar coefficient, into out[slot_k].  The coefficients are
+    functions of x and of the scores rows[i, cols_k] . x[part_k] of the
+    scored blocks.  A block without rows (cols_k = None) writes the
+    coefficient itself into the single coordinate slot_k.  Blocks may
+    share slots; their contributions add.  An evaluation gathers the
+    selected rows once, for all blocks and, for a stack of points, for
+    all points, and scores every point with its own matrix-vector
+    product, so a point's scores have the same bits in a stack as on
+    their own.
 
     Args:
         dim: dimension of the variable.
         rows: (n, W) data matrix, one row per component.
-        blocks: (slot, cols) pairs; slot is a slice, or an int for a block
-            without rows; cols is a column slice of `rows`, or None.
-        coefficients: (x, rows, sel) -> one coefficient array per block,
-            where rows holds a view of each block's columns of the selected
-            rows (None for a block without rows) and sel is the index array
+        blocks: (slot, cols, part) triples; slot is a slice, or an int for
+            a block without rows; cols is a column slice of `rows`, or
+            None; part is the slice of x that the block's rows are dotted
+            with, or None for a block without a score.
+        coefficients: (scores, x, sel) -> one coefficient array per block,
+            where scores holds each block's scores of the selected rows
+            (None for a block without a score) and sel is the index array
             or slice that selected them, for per-sample data such as
-            labels.  For one point x is (dim,), rows (m, w) and each
-            coefficient array (m,); for a (P, dim) stack of points rows
-            are (P, m, w), sel (P, m) and each coefficient array (P, m).
+            labels.  For one point x is (dim,) and each score and
+            coefficient array (m,).  For a (P, dim) stack of points x is
+            handed over coordinate-major as (dim, P, 1), so that x[k] is
+            a (P, 1) column; sel is (P, m) and each score and coefficient
+            array (P, m).  An elementwise formula serves both.
         full_eval: closed form for the exact mean.  Epoch accounting still
             charges n per full evaluation.
         common: optional term shared by every component; maps a point or a
@@ -129,7 +137,8 @@ class RowOperator:
 
     dim: int
     rows: np.ndarray
-    blocks: Tuple[Tuple[Union[slice, int], Optional[slice]], ...]
+    blocks: Tuple[Tuple[Union[slice, int], Optional[slice], Optional[slice]],
+                  ...]
     coefficients: Callable[..., Tuple[np.ndarray, ...]]
     full_eval: Callable[[np.ndarray], np.ndarray]
     common: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -144,7 +153,7 @@ class RowOperator:
         if self.common is not None:
             taken[:] = True
         first = []
-        for slot, _ in self.blocks:
+        for slot, _, _ in self.blocks:
             first.append(not taken[slot].any())
             taken[slot] = True
         object.__setattr__(self, "_writes_first", tuple(first))
@@ -158,17 +167,31 @@ class RowOperator:
         # a slice stays a view
         picked = self.rows[sel] if isinstance(sel, slice) \
             else self.rows.take(sel, axis=0)
-        rows = tuple([None if cols is None else picked[..., cols]
-                      for _, cols in self.blocks])
-        return rows, self.coefficients(x, rows, sel)
+        stacked = x.ndim == 2
+        rows, scores = [], []
+        for _, cols, part in self.blocks:
+            R = None if cols is None else picked[..., cols]
+            rows.append(R)
+            if part is None:
+                scores.append(None)
+            elif stacked:
+                # (P, m, w) @ (P, w, 1): one matrix-vector product per point
+                scores.append((R @ x[:, part, None])[..., 0])
+            else:
+                scores.append(R @ x[part])
+        # a stack coordinate-major, (dim, P, 1): x[k] is then a (P, 1)
+        # column against (P, m) scores, as it is a number for one point
+        # (a (1,) or 0-d array there would cost a ufunc call per use)
+        return rows, self.coefficients(
+            scores, x.T[..., None] if stacked else x, sel)
 
     def batch_components(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         rows, coefs = self._select(x, idx)
         out = np.zeros((len(idx), self.dim))
         if self.common is not None:
             out += self.common(x)
-        for (slot, _), R, c, first in zip(self.blocks, rows, coefs,
-                                          self._writes_first):
+        for (slot, _, _), R, c, first in zip(self.blocks, rows, coefs,
+                                             self._writes_first):
             if R is None:
                 out[:, slot] += c
             elif first:
@@ -205,8 +228,8 @@ class RowOperator:
         out = np.zeros(x.shape)
         if self.common is not None:
             out += self.common(x)
-        for (slot, _), R, c, first in zip(self.blocks, rows, coefs,
-                                          self._writes_first):
+        for (slot, _, _), R, c, first in zip(self.blocks, rows, coefs,
+                                             self._writes_first):
             if R is None:
                 total = c.sum(axis=-1)
             elif stacked:

@@ -81,13 +81,6 @@ def spectral_norm(mat: np.ndarray, tol: float = 1e-10) -> float:
     return sigma
 
 
-def _stacked_scores(rows, v):
-    """(P, m) scores of a (P, w) stack of points v against their (P, m, w)
-    rows.  Each point is its own matrix-vector product, as for one point,
-    so its scores have the same bits in a stack as on their own."""
-    return (rows @ v[..., None])[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # AUC maximization
 # ---------------------------------------------------------------------------
@@ -202,16 +195,13 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
     q = np.zeros(dim)
     q[:d] = scale * (mu_m - mu_p)
 
-    def coefficients(z, rows, sel):
+    def coefficients(scores, z, sel):
         """Per-sample coefficients of the feature row and the three scalar
-        slots, given labels and scores s = X w."""
+        slots, given labels and scores s = X w.  The scalars (a, b, alpha)
+        are numbers for one point and (P, 1) columns for a stack."""
+        s = scores[0]
         pos_i = pos[sel]
-        if z.ndim == 1:
-            s = rows[0] @ z[:d]
-            a, bb, al = z[d], z[d + 1], z[d + 2]
-        else:  # a stack of points: the scalars as (P, 1) columns
-            s = _stacked_scores(rows[0], z[:, :d])
-            a, bb, al = z[:, d:, None].transpose(1, 0, 2)
+        a, bb, al = z[d:]
         cw = np.where(pos_i,
                       2.0 * (1 - p) * (s - a) - 2.0 * (1 + al) * (1 - p),
                       2.0 * p * (s - bb) + 2.0 * (1 + al) * p)
@@ -222,8 +212,9 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
         return cw, ga, gb, gal
 
     op = RowOperator(dim=dim, rows=X,
-                     blocks=((slice(0, d), slice(None)), (d, None),
-                             (d + 1, None), (d + 2, None)),
+                     blocks=((slice(0, d), slice(None), slice(0, d)),
+                             (d, None, None), (d + 1, None, None),
+                             (d + 2, None, None)),
                      coefficients=coefficients, full_eval=lambda z: Q @ z + q)
     L = spectral_norm(Q, tol=1e-12)
     R = 100.0 if radius is None else float(radius)
@@ -409,18 +400,13 @@ def build_pe_problem(transitions: Transitions, gamma: float,
     g_vec = np.zeros(dim)
     g_vec[d:] = -b_hat
 
-    def coefficients(x, rows, sel):
-        ps, ph = rows
-        if x.ndim == 1:
-            s_pw, s_ps = ph @ x[d:], ps @ x[:d]      # phi_t . w, psi_t . theta
-        else:
-            s_pw = _stacked_scores(ph, x[:, d:])
-            s_ps = _stacked_scores(ps, x[:, :d])
+    def coefficients(scores, x, sel):
+        s_ps, s_pw = scores      # psi_t . theta, phi_t . w
         return -s_pw, s_ps + s_pw - r[sel]
 
     op = RowOperator(dim=dim, rows=rows,
-                     blocks=((slice(0, d), slice(0, d)),
-                             (slice(d, dim), slice(d, dim))),
+                     blocks=((slice(0, d), slice(0, d), slice(0, d)),
+                             (slice(d, dim), slice(d, dim), slice(d, dim))),
                      coefficients=coefficients,
                      full_eval=lambda x: G_mat @ x + g_vec)
     L = spectral_norm(G_mat, tol=1e-12)
@@ -516,14 +502,14 @@ def strongly_monotone_affine(dim: int, n_components: int, seed,
     L = math.sqrt(float(np.linalg.eigvalsh(gram).max()))
     solution = np.linalg.solve(M_mean, -c_mean)
 
-    def coefficients(x, rows, sel):
+    def coefficients(scores, x, sel):
         # slope rows scaled by u_i . x, offset rows by one
-        s = rows[0] @ x if x.ndim == 1 else _stacked_scores(rows[0], x)
+        s = scores[0]
         return s, np.ones(s.shape)
 
     op = RowOperator(dim=d, rows=np.hstack([U, c]),
-                     blocks=((slice(0, d), slice(0, d)),
-                             (slice(0, d), slice(d, 2 * d))),
+                     blocks=((slice(0, d), slice(0, d), slice(0, d)),
+                             (slice(0, d), slice(d, 2 * d), None)),
                      coefficients=coefficients,
                      full_eval=lambda x: M_mean @ x + c_mean,
                      common=lambda x: mu * x)
@@ -547,15 +533,6 @@ def save_auc_dataset(dataset: AucDataset, path) -> None:
             fh.write(f" {_fmt(label)}\n")
 
 
-def load_auc_dataset(path) -> AucDataset:
-    data = np.loadtxt(path, ndmin=2)
-    X, y = data[:, :-1], data[:, -1]
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be +1 or -1")
-    return AucDataset(X=X, y=y, p_pos=float((y > 0).mean()),
-                      kappa_feat=float(np.linalg.norm(X, axis=1).max()))
-
-
 def save_transitions(transitions: Transitions, path) -> None:
     """One transition per line: phi (d floats), phi' (d floats), reward."""
     with open(path, "w", newline="\n") as fh:
@@ -564,11 +541,3 @@ def save_transitions(transitions: Transitions, path) -> None:
             parts = [_fmt(v) for v in ph] + [_fmt(v) for v in ph2] + [_fmt(rw)]
             fh.write(" ".join(parts) + "\n")
 
-
-def load_transitions(path) -> Transitions:
-    data = np.loadtxt(path, ndmin=2)
-    if data.shape[1] % 2 != 1:
-        raise ValueError("expected 2d+1 columns (phi, phi', reward)")
-    d = (data.shape[1] - 1) // 2
-    return Transitions(phi=data[:, :d], phi_next=data[:, d:2 * d],
-                       r=data[:, 2 * d])

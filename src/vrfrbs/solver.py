@@ -99,12 +99,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __str__(self):
-        lines = [f"{'PASS' if c.passed else 'WARN'} {c.name}: "
-                 f"lhs={c.lhs:.6g} rhs={c.rhs:.6g} margin={c.margin:.6g}"
-                 for c in self.checks]
-        return "\n".join(lines)
-
 
 def validate_rates(card: TheoryCard, L: float, eta: float) -> ValidationReport:
     """Check the step size and the variance condition for a theory card.

@@ -5,7 +5,9 @@ tests drive the benchmark harness end to end at desk scale; the Monte-Carlo
 certifications run at 10^5 trials.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from vrfrbs.verification import (build_history, check_bias_recursion,
 from helpers import frbs_reference, instrumented_problem
 
 MC_TRIALS = 100_000
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _report(name, ok, detail=""):
@@ -202,29 +205,21 @@ def _final_means(out_dir, budget):
     return {alg: float(np.mean(v)) for alg, v in means.items()}
 
 
+def _desk_config(file_name, names):
+    """A committed desk config with only the named algorithms, in the
+    given order: each cell's estimator seed depends on its position."""
+    config = json.loads((CONFIGS / file_name).read_text())
+    by_name = {alg["name"]: alg for alg in config["algorithms"]}
+    config["algorithms"] = [by_name[name] for name in names]
+    return config
+
+
 def test_figure1_auc_desk_scale(tmp_path):
     """AUC benchmark at desk scale: loopless-SVRG reaches 1e-6 and every
     variance-reduced variant beats the increasing-batch sgd baseline by at
     least two orders of magnitude."""
-    config = {
-        "experiment_id": "auc-desk",
-        "problem": {"family": "auc", "n": 5000, "d": 50, "p_pos": 0.1,
-                    "noise_sigma": 0.1, "seed": 17},
-        "algorithms": [
-            {"name": "svrg", "estimator": "svrg",
-             "params": "default:experiment", "eta": "1/5L"},
-            {"name": "saga", "estimator": "saga",
-             "params": "default:experiment", "eta": "1/14L"},
-            {"name": "sarah", "estimator": "sarah",
-             "params": "default:experiment", "eta": "1/3.5L"},
-            {"name": "hsvrg", "estimator": "hsvrg",
-             "params": "default:experiment", "eta": "1/5.5L"},
-            {"name": "sgd", "estimator": "sgd",
-             "params": {"sgd_coeff": 0.01}, "eta": "1/2L"},
-        ],
-        "run": {"epochs": 1000, "record_every_epochs": 10.0,
-                "seeds": [0, 1, 2, 3, 4]},
-    }
+    config = _desk_config("auc_desk.json",
+                          ("svrg", "saga", "sarah", "hsvrg", "sgd"))
     out = tmp_path / "auc"
     run_experiment(config, out)
     means = _final_means(out, 1000)
@@ -238,22 +233,7 @@ def test_figure1_auc_desk_scale(tmp_path):
 def test_figure2_policy_eval_desk_scale(tmp_path):
     """Policy-evaluation benchmark: saga converges fastest (below 1e-5
     within 5000 epochs) and the final ordering is saga <= svrg <= sgd."""
-    config = {
-        "experiment_id": "pe-desk",
-        "problem": {"family": "policy-eval", "states": 100, "actions": 10,
-                    "transitions": 2000, "features": 21, "gamma": 0.95,
-                    "tau_reg": 1e-4, "seed": 7},
-        "algorithms": [
-            {"name": "saga", "estimator": "saga",
-             "params": "default:experiment", "eta": "1/2L"},
-            {"name": "svrg", "estimator": "svrg",
-             "params": "default:experiment", "eta": "1/2L"},
-            {"name": "sgd", "estimator": "sgd",
-             "params": {"sgd_coeff": 0.025}, "eta": "1/2L"},
-        ],
-        "run": {"epochs": 5000, "record_every_epochs": 50.0,
-                "seeds": [0, 1, 2, 3, 4]},
-    }
+    config = _desk_config("policy_eval_desk.json", ("saga", "svrg", "sgd"))
     out = tmp_path / "pe"
     run_experiment(config, out)
     means = _final_means(out, 5000)

@@ -476,16 +476,38 @@ def test_cli_gen_data_roundtrip(tmp_path):
     out = tmp_path / "auc.txt"
     assert cli_main(["gen-data", "--family", "auc", "--out", str(out),
                      "--n", "30", "--d", "4", "--seed", "2"]) == 0
-    from vrfrbs.problems import load_auc_dataset
-    ds = load_auc_dataset(out)
-    assert ds.n == 30 and ds.d == 4
+    data = np.loadtxt(out, ndmin=2)
+    assert data.shape == (30, 4 + 1)
+    assert np.all(np.isin(data[:, -1], (-1.0, 1.0)))
     out2 = tmp_path / "mdp.txt"
     assert cli_main(["gen-data", "--family", "mdp", "--out", str(out2),
                      "--states", "8", "--actions", "2", "--transitions", "25",
                      "--features", "4"]) == 0
-    from vrfrbs.problems import load_transitions
-    trans = load_transitions(out2)
-    assert trans.n == 25 and trans.d == 4
+    data = np.loadtxt(out2, ndmin=2)
+    assert data.shape == (25, 2 * 4 + 1)
+
+
+_IMPORT_GUARD = """
+import sys
+import numpy
+baseline = set(sys.modules)
+import vrfrbs, vrfrbs.bench, vrfrbs.cli, vrfrbs.verification
+loaded = {name.partition(".")[0] for name in set(sys.modules) - baseline}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"vrfrbs"}))
+"""
+
+
+def test_package_imports_nothing_beyond_numpy_and_the_stdlib():
+    """numpy is the one runtime dependency: with numpy (and whatever it
+    loads) imported first, the package and its entry points load only
+    standard-library modules, so an installed but undeclared package such
+    as scipy cannot slip in."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(vrfrbs.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_manifest_nominal_cost_for_svrg(tmp_path):

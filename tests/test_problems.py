@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from vrfrbs import problems
-from vrfrbs.core import StochasticOracle, apply_resolvent, eval_full
+from vrfrbs.core import (RowOperator, StochasticOracle, apply_resolvent,
+                         eval_full)
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
                              gen_auc_dataset, gen_random_mdp,
-                             load_auc_dataset, load_transitions,
                              power_iteration, sample_transitions,
                              save_auc_dataset, save_transitions,
                              spectral_norm, strongly_monotone_affine,
@@ -415,9 +415,10 @@ def test_auc_dataset_roundtrip(tmp_path):
     ds = gen_auc_dataset(20, 3, 0.2, 0.4, seed=5)
     path = tmp_path / "auc.txt"
     save_auc_dataset(ds, path)
-    back = load_auc_dataset(path)
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.y, ds.y)
+    back = np.loadtxt(path, ndmin=2)
+    assert back.shape == (20, 4)
+    assert np.array_equal(back[:, :-1], ds.X)
+    assert np.array_equal(back[:, -1], ds.y)
 
 
 def test_transitions_roundtrip(tmp_path):
@@ -425,10 +426,11 @@ def test_transitions_roundtrip(tmp_path):
     trans = sample_transitions(mdp, 9, uniform_features(6, 3, seed=7), seed=8)
     path = tmp_path / "trans.txt"
     save_transitions(trans, path)
-    back = load_transitions(path)
-    assert np.array_equal(back.phi, trans.phi)
-    assert np.array_equal(back.phi_next, trans.phi_next)
-    assert np.array_equal(back.r, trans.r)
+    back = np.loadtxt(path, ndmin=2)
+    assert back.shape == (9, 7)
+    assert np.array_equal(back[:, :3], trans.phi)
+    assert np.array_equal(back[:, 3:6], trans.phi_next)
+    assert np.array_equal(back[:, 6], trans.r)
 
 
 # --- synthetic problems ------------------------------------------------------
@@ -498,13 +500,20 @@ def _row_operator_and_blocks(family):
     return op, (op.rows[:, :8].copy(), op.rows[:, 8:].copy())
 
 
+def _per_block_scores(op, rows, x):
+    """Each block's scores from the given rows (None for a block without a
+    score), one matrix-vector product per block."""
+    return tuple(None if part is None else R @ x[part]
+                 for (_, _, part), R in zip(op.blocks, rows))
+
+
 def _per_block_components(op, blocks, x, idx):
     rows = tuple(None if B is None else B[idx] for B in blocks)
     out = np.zeros((len(idx), op.dim))
     if op.common is not None:
         out += op.common(x)
-    for (slot, _), R, c in zip(op.blocks, rows,
-                               op.coefficients(x, rows, idx)):
+    coefs = op.coefficients(_per_block_scores(op, rows, x), x, idx)
+    for (slot, _, _), R, c in zip(op.blocks, rows, coefs):
         out[:, slot] += c if R is None else c[:, None] * R
     return out
 
@@ -513,16 +522,16 @@ def _per_block_mean(op, blocks, x, idx):
     m = len(idx)
     if m < op.n // 4:
         rows = tuple(None if B is None else B[idx] for B in blocks)
-        coefs = op.coefficients(x, rows, idx)
+        coefs = op.coefficients(_per_block_scores(op, rows, x), x, idx)
     else:
         counts = np.bincount(idx, minlength=op.n).astype(float)
         rows = blocks
-        coefs = tuple(counts * c
-                      for c in op.coefficients(x, rows, slice(None)))
+        coefs = tuple(counts * c for c in op.coefficients(
+            _per_block_scores(op, rows, x), x, slice(None)))
     out = np.zeros(op.dim)
     if op.common is not None:
         out += op.common(x)
-    for (slot, _), R, c in zip(op.blocks, rows, coefs):
+    for (slot, _, _), R, c in zip(op.blocks, rows, coefs):
         out[slot] += (c.sum() if R is None else R.T @ c) / m
     return out
 
@@ -532,7 +541,7 @@ def test_row_operator_matches_per_block_evaluation_bitwise(family):
     """One gather of the row matrix, handed out as column views, gives the
     same bits as gathering each block from its own contiguous array."""
     op, blocks = _row_operator_and_blocks(family)
-    for (_, cols), B in zip(op.blocks, blocks):
+    for (_, cols, _), B in zip(op.blocks, blocks):
         if cols is not None:
             assert np.array_equal(op.rows[:, cols], B)
     n = op.n
@@ -548,7 +557,33 @@ def test_row_operator_matches_per_block_evaluation_bitwise(family):
                               _per_block_mean(op, blocks, x, idx)), m
 
 
+def _minimal_row_operator():
+    """One scored block, one unscored block, a per-sample weight read
+    through sel and a coordinate of the point; the coefficient formula is
+    elementwise, so one point and a stack of points take the same code."""
+    rng = np.random.default_rng(11)
+    n = 24
+    weight = rng.uniform(0.5, 2.0, size=n)
+
+    def coefficients(scores, x, sel):
+        s = scores[0]
+        return weight[sel] * s - x[0], 1.0 - s
+
+    def full_eval(x):
+        return op.batch_mean(x, np.arange(n))
+
+    # block 0 scores rows[:, 0:2] against x[1:3] and writes them into
+    # slots 0:2; block 1 writes rows[:, 2:5] into slots 0:3
+    op = RowOperator(dim=3, rows=rng.standard_normal((n, 5)),
+                     blocks=((slice(0, 2), slice(0, 2), slice(1, 3)),
+                             (slice(0, 3), slice(2, 5), None)),
+                     coefficients=coefficients, full_eval=full_eval)
+    return op
+
+
 def _stack_operator(family):
+    if family == "minimal":
+        return _minimal_row_operator()
     if family == "linear-toy":
         return problems.linear_toy(n=10, dim=4, seed=2).forward
     if family == "oracle":
@@ -559,8 +594,8 @@ def _stack_operator(family):
     return _row_operator(family)
 
 
-@pytest.mark.parametrize("family",
-                         ["auc", "pe", "affine-toy", "linear-toy", "oracle"])
+@pytest.mark.parametrize("family", ["auc", "pe", "affine-toy", "minimal",
+                                    "linear-toy", "oracle"])
 def test_stacked_batch_mean_equals_per_point_calls(family):
     """A (P, dim) stack of points with P batches back to back gives each
     point's own batch mean bit for bit, P = 1 included."""
