@@ -4,9 +4,9 @@ verification suite for the estimator contracts."""
 
 __version__ = "0.1.0"
 
-from .core import (CallCounter, FiniteSumOperator, InclusionProblem,
-                   InfeasibleParametersError, Resolvent, RowOperator,
-                   StochasticOracle, UnsupportedConfigError, apply_resolvent,
+from .core import (CallCounter, InclusionProblem, InfeasibleParametersError,
+                   Resolvent, RowOperator, SampledOperator,
+                   UnsupportedConfigError, apply_resolvent,
                    ball_box_resolvent, eval_full, fb_residual,
                    identity_resolvent, soft_threshold_resolvent)
 from .estimators import (BIASED_KINDS, KINDS, UNBIASED_KINDS, EstimatorParams,
@@ -18,7 +18,7 @@ from .solver import (DivergenceError, RunTrace, SolverConfig, run,
 
 __all__ = [
     "__version__",
-    "CallCounter", "FiniteSumOperator", "RowOperator", "StochasticOracle",
+    "CallCounter", "SampledOperator", "RowOperator",
     "InclusionProblem", "Resolvent", "UnsupportedConfigError",
     "InfeasibleParametersError", "apply_resolvent", "ball_box_resolvent",
     "identity_resolvent", "soft_threshold_resolvent",

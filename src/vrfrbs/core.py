@@ -37,11 +37,6 @@ class CallCounter:
         self.count += int(k)
 
 
-def _charge(counter: Optional[CallCounter], k: int) -> None:
-    if counter is not None:
-        counter.add(k)
-
-
 # ---------------------------------------------------------------------------
 # Forward operators
 #
@@ -62,26 +57,40 @@ def _part_means(batch_mean, x, idx):
 
 
 @dataclass(frozen=True)
-class FiniteSumOperator:
-    """G(x) = (1/n) sum_i G_i(x) with vectorized component access.
+class SampledOperator:
+    """G(x) = (1/n) sum_i G_i(x) or G(x) = E_xi[G(x, xi)], evaluated on
+    drawn samples: component indices of a finite sum, or oracle samples xi.
+    Exactly one of `n` and `sampler` is given.
 
     Args:
-        n: number of components.
         dim: dimension of the variable (and of every component value).
-        batch_components: (x, idx) -> (len(idx), dim) array of G_i(x) for
-            i in idx (duplicates allowed, order preserved).
-        full_eval: optional closed form for the exact mean (affine fast
-            path).  Epoch accounting still charges n per full evaluation.
+        batch_components: (x, samples) -> (len(samples), dim) array of the
+            component values (duplicates allowed, order preserved).  It is
+            deterministic given (x, xi); all randomness lives in the draws.
+        n: number of components of a finite sum, drawn i.i.d. uniformly
+            with replacement.
+        sampler: (rng, size) -> `size` oracle samples.
+        full_eval: optional closed form for the exact mean.  Without it a
+            finite sum averages all n components and an oracle has no
+            exact mean.  Epoch accounting still charges n per full
+            evaluation of a finite sum.
     """
 
-    n: int
     dim: int
     batch_components: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    n: Optional[int] = None
+    sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     full_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if (self.n is None) == (self.sampler is None):
+            raise ValueError("a SampledOperator takes exactly one of n "
+                             "(finite sum) and sampler (oracle)")
+
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """I.i.d. uniform component indices, sampled with replacement."""
-        return rng.integers(0, self.n, size=size)
+        if self.sampler is None:
+            return rng.integers(0, self.n, size=size)
+        return self.sampler(rng, size)
 
     def batch_mean(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Mean of the components in `idx` at `x`; for a (P, dim) stack of
@@ -94,6 +103,9 @@ class FiniteSumOperator:
     def full(self, x: np.ndarray) -> np.ndarray:
         if self.full_eval is not None:
             return self.full_eval(x)
+        if self.n is None:
+            raise UnsupportedConfigError(
+                "exact mean evaluation is not available for this oracle")
         return self.batch_mean(x, np.arange(self.n))
 
 
@@ -248,43 +260,7 @@ class RowOperator:
         return self.full_eval(x)
 
 
-@dataclass(frozen=True)
-class StochasticOracle:
-    """G(x) = E_xi[G(x, xi)] accessed through seed-driven samples.
-
-    The evaluator must be deterministic given (x, xi); all randomness lives
-    in the sampler.  `exact_mean`, when available (synthetic problems),
-    gives the true mean for diagnostics such as residual evaluation.
-    """
-
-    dim: int
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (x, xi_batch) -> (m, dim)
-    exact_mean: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    n = None  # no component table
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.sampler(rng, size)
-
-    def batch_components(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return self.evaluator(x, xi)
-
-    def batch_mean(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Mean over the samples `xi` at `x`; for a (P, dim) stack of
-        points, one mean per point over its own part of `xi`."""
-        if x.ndim == 2:
-            return _part_means(self.batch_mean, x, xi)
-        return self.evaluator(x, xi).mean(axis=0)
-
-    def full(self, x: np.ndarray) -> np.ndarray:
-        if self.exact_mean is None:
-            raise UnsupportedConfigError(
-                "exact mean evaluation is not available for this oracle")
-        return self.exact_mean(x)
-
-
-ForwardOperator = Union[FiniteSumOperator, RowOperator, StochasticOracle]
+ForwardOperator = Union[SampledOperator, RowOperator]
 
 
 def eval_full(op: ForwardOperator, x: np.ndarray,
@@ -298,8 +274,8 @@ def eval_full(op: ForwardOperator, x: np.ndarray,
     if x.shape != (op.dim,):
         raise ValueError(f"dimension mismatch: expected ({op.dim},), got {x.shape}")
     value = op.full(x)
-    if getattr(op, "n", None) is not None:
-        _charge(counter, op.n)
+    if counter is not None and op.n is not None:
+        counter.add(op.n)
     return value
 
 
@@ -401,7 +377,7 @@ class InclusionProblem:
 
     @property
     def is_finite_sum(self) -> bool:
-        return getattr(self.forward, "n", None) is not None
+        return self.forward.n is not None
 
     @property
     def n_components(self) -> int:

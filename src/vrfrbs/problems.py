@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (FiniteSumOperator, InclusionProblem, RowOperator,
+from .core import (InclusionProblem, RowOperator, SampledOperator,
                    ball_box_resolvent, identity_resolvent,
                    soft_threshold_resolvent)
 
@@ -446,8 +446,8 @@ def affine_problem_from_components(B: np.ndarray,
     def full_eval(x):
         return B_mean @ x + c_mean
 
-    op = FiniteSumOperator(n=n, dim=dim, batch_components=batch_components,
-                           full_eval=full_eval)
+    op = SampledOperator(dim=dim, batch_components=batch_components, n=n,
+                         full_eval=full_eval)
     solution = None
     try:
         solution = np.linalg.solve(B_mean, -c_mean)

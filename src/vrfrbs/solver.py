@@ -80,18 +80,14 @@ class ConditionCheck:
     rhs: float
 
     @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs
-
-    @property
     def passed(self) -> bool:
         return self.lhs >= self.rhs
 
 
 @dataclass
 class ValidationReport:
-    """Per-condition pass/fail with numeric margins.  Advisory only: the
-    benchmark settings deliberately exceed these thresholds."""
+    """Per-condition pass/fail with both sides of each condition.  Advisory
+    only: the benchmark settings deliberately exceed these thresholds."""
 
     checks: List[ConditionCheck]
 

@@ -51,7 +51,6 @@ class McReport:
     target: np.ndarray
     margin_sigmas: float
     passed: bool
-    threshold: float = DEFAULT_SIGMA_THRESHOLD
     exact: bool = False
 
     def to_line(self) -> str:
@@ -313,7 +312,7 @@ def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
         return McReport(name=name, trials=outcomes, sample_mean=err,
                         std_error=0.0, target=target,
                         margin_sigmas=0.0 if dn <= tol else math.inf,
-                        passed=dn <= tol, threshold=threshold, exact=True)
+                        passed=dn <= tol, exact=True)
     mom = _mc_moments(history, trials, seed)
     count = mom.count
     se = math.sqrt(float(mom.m2.sum()) / (count - 1) / count)
@@ -324,7 +323,7 @@ def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
         margin = dn / se
     return McReport(name=name, trials=count, sample_mean=mom.mean,
                     std_error=se, target=target, margin_sigmas=margin,
-                    passed=margin <= threshold, threshold=threshold)
+                    passed=margin <= threshold)
 
 
 def check_unbiased(history: FrozenHistory, trials: int = 100_000, seed: int = 0,
@@ -354,7 +353,7 @@ def check_bias_recursion(history: FrozenHistory, trials: int = 100_000,
     if history.e_prev is None:
         raise ValueError("history does not carry e_{k-1}")
     card = theory_card(kind, history.state.params, history.problem.lipschitz,
-                       n=getattr(history.problem.forward, "n", None))
+                       n=history.problem.forward.n)
     return _check_mean(history, f"bias-recursion/{kind}",
                        (1.0 - card.tau) * history.e_prev, trials, seed,
                        threshold, mode)
@@ -374,7 +373,7 @@ def check_variance_recursion(history: FrozenHistory, trials: int = 100_000,
     """
     state = history.state
     card = theory_card(state.kind, state.params, state.problem.lipschitz,
-                       n=getattr(state.problem.forward, "n", None))
+                       n=state.problem.forward.n)
     dx = history.x_k - history.x_km1
     dxp = history.x_km1 - history.x_km2
     rhs = (1.0 - card.kappa) * history.delta_prev \
@@ -391,4 +390,4 @@ def check_variance_recursion(history: FrozenHistory, trials: int = 100_000,
     return McReport(name=f"variance-recursion/{state.kind}", trials=count,
                     sample_mean=np.array([mean]), std_error=se,
                     target=np.array([rhs]), margin_sigmas=margin,
-                    passed=mean <= rhs + threshold * se, threshold=threshold)
+                    passed=mean <= rhs + threshold * se)

@@ -9,7 +9,8 @@ from vrfrbs.core import apply_resolvent
 
 
 class InstrumentedOperator:
-    """Wraps a finite-sum operator and counts logical component evaluations:
+    """Wraps a finite-sum operator (a SampledOperator with n set, or a
+    RowOperator) and counts logical component evaluations:
     full -> n, batch access -> len(batch), which for a stack of points is
     the total over their batches.  Used to audit the estimators'
     self-reported call counts."""

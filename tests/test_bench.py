@@ -445,6 +445,113 @@ def test_cli_verify_smoke(capsys):
     assert all(l.endswith("pass") for l in lines)
 
 
+# both report lines of `vrfrbs verify --trials 2000` for every kind and
+# seeds 0 and 1: name, trial count and outcome exactly, the four numbers
+# within 1e-9 relative (approx compares infinities exactly)
+VERIFY_PINS = {
+    ("svrg", 0): (
+        "unbiased/svrg, 2000, 0.011716418472834741, "
+        "0.021246725714177146, 0, 0.55144583831177396, pass",
+        "variance-recursion/svrg, 2000, 0.9025325582552115, "
+        "0.016423520464375677, 44.523348299510097, -2655.9966747612348, pass",
+    ),
+    ("svrg", 1): (
+        "unbiased/svrg, 2000, 0.019489816157628841, "
+        "0.026581290351523536, 0, 0.7332155775692718, pass",
+        "variance-recursion/svrg, 2000, 1.4128032814411009, "
+        "0.028698605749127623, 80.347295321383044, -2750.4643511241443, pass",
+    ),
+    ("saga", 0): (
+        "unbiased/saga, 2000, 0.044737368354985492, "
+        "0.025769572672307152, 0, 1.7360539471832908, pass",
+        "variance-recursion/saga, 2000, 1.329479112678257, "
+        "0.023192732243611323, 104.58269854313484, -4451.9644492898742, pass",
+    ),
+    ("saga", 1): (
+        "unbiased/saga, 2000, 0.016554442844701062, "
+        "0.024073681422455865, 0, 0.68765730318500939, pass",
+        "variance-recursion/saga, 2000, 1.1587787819004629, "
+        "0.020500920474197094, 181.86079007692896, -8814.3364841819675, pass",
+    ),
+    ("sgd", 0): (
+        "unbiased/sgd, 2000, 0.036432787054581486, "
+        "0.078682431692371768, 0, 0.46303585528500679, pass",
+        "variance-recursion/sgd, 2000, 12.376986536965003, "
+        "0.15360148417265779, 13.898780699797438, -9.9074183496940851, pass",
+    ),
+    ("sgd", 1): (
+        "unbiased/sgd, 2000, 0.056635100378108559, "
+        "0.046790401652826184, 0, 1.2103999619051731, pass",
+        "variance-recursion/sgd, 2000, 4.3797015665736252, "
+        "0.053490816875751364, 7.8844881947197294, -65.521276975205552, pass",
+    ),
+    ("sarah", 0): (
+        "bias-recursion/sarah, 2000, 0.028726371333157936, "
+        "0.017083566499151562, 0, 1.6815207371706957, pass",
+        "variance-recursion/sarah, 2000, 0.58422984482751261, "
+        "0.020585292827833779, 8.9330122712346913, -405.5702532984435, pass",
+    ),
+    ("sarah", 1): (
+        "bias-recursion/sarah, 2000, 0.011113434646593688, "
+        "0.018920543451039253, 0, 0.5873739660465862, pass",
+        "variance-recursion/sarah, 2000, 0.71573945043049392, "
+        "0.02391658446364307, 15.35722648445349, -612.18971531157945, pass",
+    ),
+    ("hsgd", 0): (
+        "bias-recursion/hsgd, 2000, 0.92486339498636116, "
+        "0.047824905792963245, 0.92063398005499364, 0.33478689819963636, pass",
+        "variance-recursion/hsgd, 2000, 5.4275283059832145, "
+        "0.10266721404036971, 17.262298997014433, -115.27312591123467, pass",
+    ),
+    ("hsgd", 1): (
+        "bias-recursion/hsgd, 2000, 1.2957996215377032, "
+        "0.030034726354310193, 1.3190904645431785, 0.99539558571615006, pass",
+        "variance-recursion/hsgd, 2000, 3.482364148746675, "
+        "0.05171356129779528, 21.494165677436875, -348.29938369489361, pass",
+    ),
+    ("hsvrg", 0): (
+        "bias-recursion/hsvrg, 2000, 0.24503920735138979, "
+        "0.027401622037866731, 0.25825443799949077, 0.92348419010585947, pass",
+        "variance-recursion/hsvrg, 2000, 1.5609911448612952, "
+        "0.02863549835327189, 202.32807952331382, -7011.1260471746909, pass",
+    ),
+    ("hsvrg", 1): (
+        "bias-recursion/hsvrg, 2000, 0.75380469297758501, "
+        "0.026809442722720768, 0.76211882813413723, 0.34811344758426388, pass",
+        "variance-recursion/hsvrg, 2000, 2.0049952071416128, "
+        "0.031603815959362111, 372.40892855830447, -11720.22814673545, pass",
+    ),
+    ("full", 0): (
+        "unbiased/full, 2000, 0, "
+        "0, 0, 0, pass",
+        "variance-recursion/full, 2000, 0, "
+        "0, 0, -inf, pass",
+    ),
+    ("full", 1): (
+        "unbiased/full, 2000, 0, "
+        "0, 0, 0, pass",
+        "variance-recursion/full, 2000, 0, "
+        "0, 0, -inf, pass",
+    ),
+}
+
+
+def _verify_fields(line, wrap=float):
+    name, trials, *numbers, outcome = line.split(", ")
+    return name, int(trials), [wrap(float(v)) for v in numbers], outcome
+
+
+@pytest.mark.parametrize("kind, seed", list(VERIFY_PINS))
+def test_cli_verify_lines_pinned(kind, seed, capsys):
+    code = cli_main(["verify", "--estimator", kind, "--trials", "2000",
+                     "--seed", str(seed)])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [_verify_fields(l) for l in lines] == [
+        _verify_fields(l, lambda v: pytest.approx(v, rel=1e-9, abs=0))
+        for l in VERIFY_PINS[kind, seed]]
+
+
 @pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-5"],
                                   ["--trials", "1"], ["--seed", "-1"]])
 def test_cli_verify_rejects_empty_trials_and_negative_seed(args, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrfrbs.core import (CallCounter, apply_resolvent,
+from vrfrbs.core import (CallCounter, SampledOperator,
+                         UnsupportedConfigError, apply_resolvent,
                          ball_box_resolvent, eval_full,
                          fb_residual, identity_resolvent,
                          soft_threshold_resolvent)
@@ -69,6 +70,43 @@ def test_eval_batch_hand_mean():
     x = np.array([2.0, 1.0])
     expected = 0.5 * ((x + c[0]) + (B[2] @ x + c[2]))
     assert op.batch_mean(x, np.array([0, 2])) == pytest.approx(expected)
+
+
+# SampledOperator: a finite sum (n) or an oracle (sampler), never both or
+# neither; without a closed form only a finite sum has a full evaluation
+
+def _scaled_components(x, samples):
+    return np.outer(1.0 + samples, x)
+
+
+@pytest.mark.parametrize("n, sampler", [
+    (3, lambda rng, size: rng.standard_normal(size)), (None, None)])
+def test_sampled_operator_takes_exactly_one_of_n_and_sampler(n, sampler):
+    with pytest.raises(ValueError, match="exactly one"):
+        SampledOperator(dim=2, batch_components=_scaled_components, n=n,
+                        sampler=sampler)
+
+
+def test_oracle_without_full_eval_has_no_full():
+    op = SampledOperator(dim=2, batch_components=_scaled_components,
+                         sampler=lambda rng, size: rng.standard_normal(size))
+    with pytest.raises(UnsupportedConfigError):
+        op.full(np.ones(2))
+    # with a closed form it evaluates, and an oracle charges no epoch
+    exact = SampledOperator(dim=2, batch_components=_scaled_components,
+                            sampler=op.sampler, full_eval=lambda x: x)
+    counter = CallCounter()
+    assert np.array_equal(eval_full(exact, np.ones(2), counter), np.ones(2))
+    assert counter.count == 0
+
+
+def test_finite_sum_without_full_eval_averages_all_components():
+    op = SampledOperator(dim=2, batch_components=_scaled_components, n=5)
+    x = np.array([0.7, -1.3])
+    assert np.array_equal(op.full(x), op.batch_mean(x, np.arange(5)))
+    counter = CallCounter()
+    eval_full(op, x, counter)
+    assert counter.count == 5
 
 
 def test_ball_projection_radial_scaling():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vrfrbs import estimators
 from vrfrbs.bench import build_problem, run_experiment
-from vrfrbs.core import (FiniteSumOperator, InclusionProblem, StochasticOracle,
+from vrfrbs.core import (InclusionProblem, SampledOperator,
                          identity_resolvent, UnsupportedConfigError)
 from vrfrbs.estimators import (KINDS, EstimatorParams, _apply_step,
                                _first_occurrences, estimator_step,
@@ -32,7 +32,7 @@ def components_only_problem(n=4, dim=3, seed=0):
     def batch_components(x, idx):
         return B[idx] @ x + c[idx]
 
-    op = FiniteSumOperator(n=n, dim=dim, batch_components=batch_components)
+    op = SampledOperator(n=n, dim=dim, batch_components=batch_components)
     return InclusionProblem(forward=op, resolvent=identity_resolvent(),
                             lipschitz=3.0)
 
@@ -93,11 +93,10 @@ def test_svrg_initial_direction_is_exact():
 
 
 def test_saga_rejects_oracle():
-    from vrfrbs.core import StochasticOracle
-    oracle = StochasticOracle(
+    oracle = SampledOperator(
         dim=2,
         sampler=lambda rng, size: rng.standard_normal((size, 2)),
-        evaluator=lambda x, xi: x[None, :] + xi)
+        batch_components=lambda x, xi: x[None, :] + xi)
     prob = InclusionProblem(forward=oracle, resolvent=identity_resolvent(),
                             lipschitz=1.0)
     with pytest.raises(UnsupportedConfigError):
@@ -210,7 +209,7 @@ def test_first_occurrences_match_np_unique():
 @pytest.mark.parametrize("n", [2, 50, 2000, 2**31 + 11, 2**33])
 @pytest.mark.parametrize("seed", range(8))
 def test_consecutive_draws_continue_one_stream(n, seed):
-    op = FiniteSumOperator(n=n, dim=1, batch_components=None)
+    op = SampledOperator(n=n, dim=1, batch_components=None)
     sizes = [79, 1, 4096, 3, 250, 17]   # an odd total leaves a 32-bit half
     one, many = np.random.default_rng(seed), np.random.default_rng(seed)
     one.random()
@@ -268,9 +267,9 @@ def test_only_saga_and_hsgd_on_finite_sums_draw_ahead():
         st_ = make_estimator(kind, params_for(kind, 8, b=3), prob,
                              np.zeros(3), seed=0)
         assert (st_.ahead is not None) == (kind in ("saga", "hsgd")), kind
-    oracle = dataclasses.replace(prob, forward=StochasticOracle(
+    oracle = dataclasses.replace(prob, forward=SampledOperator(
         dim=3, sampler=lambda rng, size: rng.integers(0, 8, size=size),
-        evaluator=lambda x, xi: prob.forward.batch_components(x, xi)))
+        batch_components=lambda x, xi: prob.forward.batch_components(x, xi)))
     st_ = make_estimator("hsgd", EstimatorParams(b=3, omega=0.5,
                                                  mega_batch=4),
                          oracle, np.zeros(3), seed=0)
@@ -423,7 +422,7 @@ _ACCOUNTING_VARIANTS = (
        for kind in ("hsgd", "hsvrg")]
     + [(kind, {"mega_batch": 5}, f"{kind}-mega")
        for kind in ("svrg", "sarah", "hsgd", "hsvrg")])
-# every variant on the toy, a FiniteSumOperator, and on a RowOperator, whose
+# every variant on the toy, a SampledOperator, and on a RowOperator, whose
 # batch_mean evaluates a step's points in one stacked call
 _ACCOUNTING_CASES = (
     [pytest.param(kind, extra, lambda: linear_toy(n=8, dim=3, seed=11),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vrfrbs.core import InclusionProblem, StochasticOracle, identity_resolvent
+from vrfrbs.core import InclusionProblem, SampledOperator, identity_resolvent
 from vrfrbs.estimators import (EstimatorParams, _apply_step, _make_draws,
                                estimator_step, make_estimator, theory_card)
 from vrfrbs.verification import _next_step
@@ -17,11 +17,11 @@ def gaussian_affine_oracle(dim=3, noise=0.5, seed=0):
     c = rng.standard_normal(dim)
     L = float(np.linalg.svd(A, compute_uv=False)[0])
 
-    oracle = StochasticOracle(
+    oracle = SampledOperator(
         dim=dim,
         sampler=lambda r, size: r.standard_normal((size, dim)),
-        evaluator=lambda x, xi: (A @ x + c)[None, :] + noise * xi,
-        exact_mean=lambda x: A @ x + c)
+        batch_components=lambda x, xi: (A @ x + c)[None, :] + noise * xi,
+        full_eval=lambda x: A @ x + c)
     problem = InclusionProblem(forward=oracle, resolvent=identity_resolvent(),
                                lipschitz=L)
     return problem, A, c

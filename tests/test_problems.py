@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vrfrbs import problems
-from vrfrbs.core import (RowOperator, StochasticOracle, apply_resolvent,
+from vrfrbs.core import (RowOperator, SampledOperator, apply_resolvent,
                          eval_full)
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
@@ -588,9 +588,9 @@ def _stack_operator(family):
         return problems.linear_toy(n=10, dim=4, seed=2).forward
     if family == "oracle":
         A = np.eye(3) + 0.2 * np.arange(9.0).reshape(3, 3)
-        return StochasticOracle(
+        return SampledOperator(
             dim=3, sampler=lambda r, size: r.standard_normal((size, 3)),
-            evaluator=lambda x, xi: (A @ x)[None, :] + 0.5 * xi)
+            batch_components=lambda x, xi: (A @ x)[None, :] + 0.5 * xi)
     return _row_operator(family)
 
 

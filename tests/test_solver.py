@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vrfrbs.core import (FiniteSumOperator, InclusionProblem,
+from vrfrbs.core import (InclusionProblem, SampledOperator,
                          ball_box_resolvent, identity_resolvent)
 from vrfrbs.estimators import EstimatorParams, make_estimator
 from vrfrbs.problems import (affine_problem_from_components, bilinear_problem,
@@ -96,7 +96,7 @@ def constant_operator_problem(value):
     """G(x) = -value for every x, so from x0 = 0 with eta = 1 the first
     iterate is exactly `value`."""
     value = np.asarray(value, dtype=float)
-    op = FiniteSumOperator(
+    op = SampledOperator(
         n=1, dim=value.size,
         batch_components=lambda x, idx: np.tile(-value, (len(idx), 1)),
         full_eval=lambda x: -value)
