@@ -198,10 +198,10 @@ def _validate_params(kind: str, params: EstimatorParams,
 
 
 # ---------------------------------------------------------------------------
-# Step evaluation.  All randomness is materialized in `draws` first, so the
-# same deterministic core serves the RNG path, the exact enumeration used by
-# the verification module, and its Monte-Carlo checks, which evaluate many
-# independent draws of one step at once along a trial axis.
+# Step evaluation.  `_plan_draws` materializes a step's randomness in `draws`
+# first, so one deterministic core serves the RNG path, the verification
+# module's exact enumeration of every outcome, and its Monte-Carlo checks,
+# which evaluate many independent draws of one step along a trial axis.
 # ---------------------------------------------------------------------------
 
 class _StepEval:
@@ -315,39 +315,47 @@ def _sgd_batch_size(state: EstimatorState, x, x1, x2) -> int:
     return b
 
 
-def _make_draws(state: EstimatorState, x, x1, x2,
-                trials: Optional[int] = None) -> dict:
-    """Materialize this step's randomness.  Fixed order: switch coin, mega
-    sample, recursion batch, blended batch.
-
-    With `trials` = T every draw gets a trial axis: coins are (T,) and
-    samples batch-major (size, T, ...), so trial t's draws are `coin[t]`
-    and `batch[:, t]`.  Each draw is one call on the stream for all T
-    trials, made whether or not a trial's coin uses it.
-    """
-    kind, pm, rng = state.kind, state.params, state.rng
-    batched = trials is not None
+def _plan_draws(state: EstimatorState, x, x1, x2, coin, batch) -> dict:
+    """The one declaration of each kind's draws, in a fixed order: switch
+    coin, mega sample, recursion batch, blended batch.  Each is asked of
+    `coin(state, p)` (a Bernoulli(p) outcome) or `batch(state, size)`.  A
+    draw that depends on the coin is made unless it came out False, so a
+    trial-batched step, whose coins are an array, makes every draw."""
+    kind, pm = state.kind, state.params
     draws: dict = {}
     if kind in _NEEDS_SWITCH:
-        if batched:
-            draws["coin"] = rng.random(trials) < pm.p_switch
-        else:
-            draws["coin"] = bool(rng.random() < pm.p_switch)
-        if pm.mega_batch != "exact" and (batched or draws["coin"]):
-            draws["mega"] = _draw_batch(state, pm.mega_batch, trials)
+        up = draws["coin"] = coin(state, pm.p_switch)
+        if pm.mega_batch != "exact" and up is not False:
+            draws["mega"] = batch(state, pm.mega_batch)
     if kind == FULL:
         return draws
     if kind == SGD:
-        draws["batch"] = _draw_batch(
-            state, _sgd_batch_size(state, x, x1, x2), trials)
+        draws["batch"] = batch(state, _sgd_batch_size(state, x, x1, x2))
         return draws
-    if kind == SARAH and not batched and draws["coin"]:
+    if kind == SARAH and draws["coin"] is True:
         return draws
-    draws["batch"] = _draw_batch(state, int(pm.b), trials)
+    draws["batch"] = batch(state, int(pm.b))
     if kind in (HSGD, HSVRG):
         draws["batch_hat"] = draws["batch"] if pm.share_batches \
-            else _draw_batch(state, int(pm.b), trials)
+            else batch(state, int(pm.b))
     return draws
+
+
+def _coin(state: EstimatorState, p: float) -> bool:
+    return bool(state.rng.random() < p)
+
+
+def _make_draws(state: EstimatorState, x, x1, x2,
+                trials: Optional[int] = None) -> dict:
+    """This step's draws from the state's stream.  With `trials` = T every
+    draw gets a trial axis: coins are (T,) and samples batch-major
+    (size, T, ...), so trial t's draws are `coin[t]` and `batch[:, t]`, each
+    one call on the stream for all T trials."""
+    if trials is None:
+        return _plan_draws(state, x, x1, x2, _coin, _draw_batch)
+    return _plan_draws(state, x, x1, x2,
+                       lambda st, p: st.rng.random(trials) < p,
+                       lambda st, size: _draw_batch(st, size, trials))
 
 
 def _anchor_at(ev: _StepEval, point: np.ndarray, draws: dict) -> np.ndarray:
@@ -609,7 +617,7 @@ def estimator_step(state: EstimatorState, x_k, x_km1, x_km2):
     x_km1 = np.asarray(x_km1, dtype=float)
     x_km2 = np.asarray(x_km2, dtype=float)
     state.k += 1
-    draws = _make_draws(state, x_k, x_km1, x_km2)
+    draws = _plan_draws(state, x_k, x_km1, x_km2, _coin, _draw_batch)
     value, calls = _apply_step(state, x_k, x_km1, x_km2, draws)
     state.s_tilde = value
     state.counter.add(calls)

@@ -12,7 +12,8 @@ next step's draws:
   step, batched along a trial axis), then reports the margin in
   standard errors.
 * Enumeration mode (tiny instances: n <= 6 components, batches <= 2) sums
-  over every batch/switch outcome and checks the identity exactly.
+  over every outcome of the step's declared draws (switch coins, mega
+  samples and batches) and checks the identity exactly.
 
 Reports serialize to one line per check:
     name, trials, mean_norm, se, target_norm, margin_sigmas, pass
@@ -28,11 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .core import InclusionProblem
-from .estimators import (BIASED_KINDS, SAGA, SARAH, SGD, SVRG, FULL, HSGD,
-                         HSVRG, UNBIASED_KINDS, EstimatorParams,
-                         EstimatorState, _apply_step, _hybrid_c,
-                         _make_draws, _sgd_batch_size, estimator_step,
-                         make_estimator, theory_card)
+from .estimators import (BIASED_KINDS, SAGA, SARAH, SGD, SVRG, HSGD, HSVRG,
+                         UNBIASED_KINDS, EstimatorParams, EstimatorState,
+                         _apply_step, _hybrid_c, _make_draws, _plan_draws,
+                         _sgd_batch_size, estimator_step, make_estimator,
+                         theory_card)
 
 DEFAULT_SIGMA_THRESHOLD = 4.0
 ENUM_TOL = 1e-12
@@ -183,59 +184,53 @@ def build_history(kind: str, params: EstimatorParams,
 # Exact enumeration of step outcomes
 # ---------------------------------------------------------------------------
 
-def _enumeration_branches(history: FrozenHistory):
-    """All (probability, draws) outcomes of the next step on tiny instances."""
-    state, params = history.state, history.state.params
-    kind = state.kind
-    n = state.problem.forward.n
+def _step_outcomes(history: FrozenHistory):
+    """Yield (probability, fresh copy of the frozen state, draws) for each
+    outcome of the next step.  Drives `_plan_draws` depth first: a pass
+    replays a path of choices, takes the first option of each new draw and
+    queues the others, so outcomes come in lexicographic order.  A coin
+    offers (p, True) and (1 - p, False), a batch every index tuple."""
+    n = history.problem.forward.n
     if n is None:
         raise ValueError("enumeration needs a finite-sum operator")
-    if params.mega_batch != "exact" and kind in (SVRG, SARAH, HSVRG):
-        raise ValueError("enumeration supports exact anchors only")
-    if kind == FULL:
-        return [(1.0, {})]
-    size = int(params.b)
-    if kind == SGD:
-        size = _sgd_batch_size(_next_step(state), history.x_k, history.x_km1,
-                               history.x_km2)
-    batches = [(1.0 / n ** size, np.array(combo, dtype=int))
-               for combo in itertools.product(range(n), repeat=size)]
-    coins = [(None, 1.0)]
-    if kind in (SVRG, SARAH, HSVRG):
-        p = params.p_switch
-        coins = [(c, pc) for c, pc in ((True, p), (False, 1.0 - p)) if pc > 0.0]
-    hybrid = kind in (HSGD, HSVRG)
-    branches = []
-    for coin, pc in coins:
-        if kind == SARAH and coin:
-            branches.append((pc, {"coin": True}))
-            continue
-        for pb, idx in batches:
-            hats = batches if hybrid and not params.share_batches \
-                else [(1.0, idx)]
-            for ph, idx_hat in hats:
-                draws = {"batch": idx}
-                if coin is not None:
-                    draws["coin"] = coin
-                if hybrid:
-                    draws["batch_hat"] = idx_hat
-                branches.append((pc * pb * ph, draws))
-    return branches
+    pending = [()]
+    while pending:
+        path, taken = pending.pop(), []
+
+        def choose(options):
+            if len(taken) < len(path):
+                pick = path[len(taken)]
+            else:
+                pick = options[0]
+                pending.extend(tuple(taken) + (alt,)
+                               for alt in reversed(options[1:]))
+            taken.append(pick)
+            return pick[1]
+
+        probe = _next_step(history.state)
+        draws = _plan_draws(
+            probe, history.x_k, history.x_km1, history.x_km2,
+            lambda st, p: choose([(q, up) for q, up in
+                                  ((p, True), (1.0 - p, False)) if q > 0.0]),
+            lambda st, size: choose([
+                (1.0 / n ** int(size), np.array(combo, dtype=int))
+                for combo in itertools.product(range(n), repeat=int(size))]))
+        yield math.prod(q for q, _ in taken), probe, draws
 
 
 def enumerate_step_mean(history: FrozenHistory):
     """Exact E[S_tilde_k | frozen past] and the number of outcomes."""
-    branches = _enumeration_branches(history)
     mean = np.zeros(history.problem.dim)
-    total = 0.0
-    for prob, draws in branches:
-        value, _ = _apply_step(_next_step(history.state), history.x_k,
-                               history.x_km1, history.x_km2, draws)
+    total, outcomes = 0.0, 0
+    for prob, probe, draws in _step_outcomes(history):
+        value, _ = _apply_step(probe, history.x_k, history.x_km1,
+                               history.x_km2, draws)
         mean += prob * value
         total += prob
+        outcomes += 1
     if abs(total - 1.0) > 1e-12:
         raise AssertionError(f"branch probabilities sum to {total}")
-    return mean, len(branches)
+    return mean, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +324,7 @@ def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
 def check_unbiased(history: FrozenHistory, trials: int = 100_000, seed: int = 0,
                    threshold: float = DEFAULT_SIGMA_THRESHOLD,
                    mode: str = "mc") -> McReport:
-    """Certify E[S_tilde_k | frozen past] = S_k for an unbiased kind.
-
-    mode="enumerate" sums all outcomes on tiny instances and requires the
-    mean error to vanish to 1e-12 (relative to the direction's size).
-    """
+    """Certify E[S_tilde_k | frozen past] = S_k for an unbiased kind."""
     kind = history.state.kind
     if kind not in UNBIASED_KINDS:
         raise ValueError(f"{kind} is not an unbiased estimator kind")
