@@ -10,13 +10,17 @@ Their runs.csv, summary.csv and manifest.json are compared:
   match exactly: the CSV key columns, epochs (calls / n) and iterations,
   and in the manifest every string, integer, boolean and null;
 * float values (the residual and wall-time CSV columns, the manifest's
-  float fields) get a relative change |a - b| / max(|a|, |b|).
+  float fields) get a relative change |a - b| / max(|a|, |b|) and an
+  absolute change |a - b|.
 
-It prints the largest relative change for each file and float column, and
-the first structural difference it finds.  Exit status: 0 when all three
-files have identical bytes, 1 when every change is within REL_TOL relative,
-2 for a larger change or a structural difference (a missing file, another
-header, row count, key, count or JSON shape).
+It prints the largest relative and the largest absolute change for each
+file and float column, and the first structural difference it finds.  The
+absolute change tells rounding noise on a converged row (a tiny residual,
+so a large relative change) from a real drift; only the relative change
+sets the exit status.  Exit status: 0 when all three files have identical
+bytes, 1 when every change is within REL_TOL relative, 2 for a larger
+change or a structural difference (a missing file, another header, row
+count, key, count or JSON shape).
 """
 
 from __future__ import annotations
@@ -40,20 +44,24 @@ class Structural(Exception):
     """The two files differ in something other than float values."""
 
 
-def rel_change(a: float, b: float) -> float:
+def change(a: float, b: float) -> tuple:
+    """(relative, absolute) change between two values."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
+        return 0.0, 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
 
 
 def _note(changes, column, a, b):
-    changes[column] = max(changes.get(column, 0.0), rel_change(a, b))
+    rel, absolute = change(a, b)
+    old_rel, old_abs = changes.get(column, (0.0, 0.0))
+    changes[column] = (max(old_rel, rel), max(old_abs, absolute))
 
 
 def compare_csv(path_a: Path, path_b: Path) -> dict:
-    """Largest relative change per float column of two CSV files."""
+    """Largest (relative, absolute) change per float column of two CSV
+    files."""
     with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
@@ -61,7 +69,7 @@ def compare_csv(path_a: Path, path_b: Path) -> dict:
     if len(rows_a) != len(rows_b):
         raise Structural(f"{len(rows_a) - 1} rows against {len(rows_b) - 1}")
     header = rows_a[0]
-    changes = {name: 0.0 for name in header if name in FLOAT_COLUMNS}
+    changes = {name: (0.0, 0.0) for name in header if name in FLOAT_COLUMNS}
     for line, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=2):
         if len(ra) != len(header) or len(rb) != len(header):
             raise Structural(f"line {line} has another field count")
@@ -96,8 +104,8 @@ def _walk(a, b, path, changes):
 
 
 def compare_json(path_a: Path, path_b: Path) -> dict:
-    """Largest relative change per float field (list items merged) of two
-    JSON files."""
+    """Largest (relative, absolute) change per float field (list items
+    merged) of two JSON files."""
     with open(path_a) as fa, open(path_b) as fb:
         doc_a, doc_b = json.load(fa), json.load(fb)
     changes: dict = {}
@@ -125,12 +133,13 @@ def compare_dirs(dir_a, dir_b, out=sys.stdout) -> int:
             print(f"{name}: structural difference: {exc}", file=out)
             status = 2
             continue
-        worst = max(changes.values(), default=0.0)
+        worst = max((rel for rel, _ in changes.values()), default=0.0)
         status = max(status, 1 if worst <= REL_TOL else 2)
         print(f"{name}: bytes differ, largest relative change {worst:.3g}",
               file=out)
-        for column, change in changes.items():
-            print(f"  {column}: {change:.3g}", file=out)
+        for column, (rel, absolute) in changes.items():
+            print(f"  {column}: {rel:.3g} relative, {absolute:.3g} absolute",
+                  file=out)
     return status
 
 

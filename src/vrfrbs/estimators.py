@@ -187,6 +187,9 @@ def _validate_params(kind: str, params: EstimatorParams,
     if kind == SAGA and not problem.is_finite_sum:
         raise UnsupportedConfigError(
             "saga needs a finite-sum operator (no table for oracles)")
+    if kind == FULL and not problem.is_finite_sum:
+        raise UnsupportedConfigError(
+            "full needs a finite-sum operator (an exact mean costs n calls)")
     if params.mega_batch == "exact":
         if kind in (SVRG, SARAH, HSGD, HSVRG) and not problem.is_finite_sum:
             raise UnsupportedConfigError(

@@ -22,7 +22,6 @@ All generators are deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -32,53 +31,6 @@ import numpy as np
 from .core import (InclusionProblem, RowOperator, SampledOperator,
                    ball_box_resolvent, identity_resolvent,
                    soft_threshold_resolvent)
-
-
-# ---------------------------------------------------------------------------
-# Spectral norm via power iteration
-# ---------------------------------------------------------------------------
-
-def power_iteration(mat: np.ndarray, tol: float = 1e-10,
-                    max_iters: int = 10_000, restarts: int = 2,
-                    seed: int = 0):
-    """Largest singular value of a dense matrix.
-
-    Iterates v <- normalize(M^T M v) from `restarts` random starts and keeps
-    the largest estimate.  Returns (sigma_max, converged).
-    """
-    mat = np.asarray(mat, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence([0x9A7E, seed]))
-    best = 0.0
-    converged = False
-    for _ in range(max(1, restarts)):
-        v = rng.standard_normal(mat.shape[1])
-        v /= np.linalg.norm(v)
-        sigma_prev = 0.0
-        ok = False
-        for _ in range(max_iters):
-            u = mat @ v
-            sigma = float(np.linalg.norm(u))
-            if sigma == 0.0:
-                ok = True
-                break
-            v = mat.T @ u
-            v /= np.linalg.norm(v)
-            if abs(sigma - sigma_prev) <= tol * max(sigma, 1.0):
-                ok = True
-                break
-            sigma_prev = sigma
-        best = max(best, sigma)
-        converged = converged or ok
-    return best, converged
-
-
-def spectral_norm(mat: np.ndarray, tol: float = 1e-10) -> float:
-    """||M||_2; warns (and returns the best estimate) on non-convergence."""
-    sigma, ok = power_iteration(mat, tol=tol)
-    if not ok:
-        warnings.warn("power iteration did not converge; estimate is inexact",
-                      RuntimeWarning)
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +168,7 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
                              (d, None, None), (d + 1, None, None),
                              (d + 2, None, None)),
                      coefficients=coefficients, full_eval=lambda z: Q @ z + q)
-    L = spectral_norm(Q, tol=1e-12)
+    L = float(np.linalg.norm(Q, 2))
     R = 100.0 if radius is None else float(radius)
     kappa = dataset.kappa_feat
     if np.isfinite(R):
@@ -409,7 +361,7 @@ def build_pe_problem(transitions: Transitions, gamma: float,
                              (slice(d, dim), slice(d, dim), slice(d, dim))),
                      coefficients=coefficients,
                      full_eval=lambda x: G_mat @ x + g_vec)
-    L = spectral_norm(G_mat, tol=1e-12)
+    L = float(np.linalg.norm(G_mat, 2))
     resolvent = soft_threshold_resolvent(tau_reg, d) if tau_reg > 0 \
         else identity_resolvent()
     inclusion = InclusionProblem(forward=op, resolvent=resolvent, lipschitz=L)

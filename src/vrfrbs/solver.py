@@ -99,7 +99,7 @@ class ValidationReport:
 def validate_rates(card: TheoryCard, L: float, eta: float) -> ValidationReport:
     """Check the step size and the variance condition for a theory card.
 
-    Never blocks a run; callers decide what to do with warnings.
+    Never blocks a run; callers decide what to do with a failed check.
     """
     checks = []
     if card.biased:

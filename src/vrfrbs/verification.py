@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InclusionProblem
+from .core import InclusionProblem, UnsupportedConfigError
 from .estimators import (BIASED_KINDS, SAGA, SARAH, SGD, SVRG, HSGD, HSVRG,
                          UNBIASED_KINDS, EstimatorParams, EstimatorState,
                          _apply_step, _hybrid_c, _make_draws, _plan_draws,
@@ -36,6 +36,8 @@ from .estimators import (BIASED_KINDS, SAGA, SARAH, SGD, SVRG, HSGD, HSVRG,
                          theory_card)
 
 DEFAULT_SIGMA_THRESHOLD = 4.0
+WARMUP = 3
+STEP_SCALE = 0.5
 ENUM_TOL = 1e-12
 # Trials evaluated per batched step; bounds memory at any trial count.
 MC_CHUNK = 4096
@@ -119,33 +121,36 @@ def _direction_variance(problem, x, x1) -> float:
 
 
 def build_history(kind: str, params: EstimatorParams,
-                  problem: InclusionProblem, seed, warmup: int = 3,
-                  step_scale: float = 0.5) -> FrozenHistory:
+                  problem: InclusionProblem, seed) -> FrozenHistory:
     """Warm an estimator along a synthetic trajectory and freeze it.
 
-    The trajectory is x_{j+1} = x_j + step_scale * z_j with Gaussian z_j;
-    `warmup` estimator steps populate tables, snapshots, and recursion
+    The trajectory is x_{j+1} = x_j + STEP_SCALE * z_j with Gaussian z_j;
+    WARMUP estimator steps populate tables, snapshots, and recursion
     state.  The realized recursion quantities follow each kind's own
     bookkeeping: per-sample anchor deviations for svrg-style kinds (the
     frozen snapshot is the pre-step one), the squared previous error for
     the recursion kinds, their combination for hsvrg, and the table-based
     deviation for saga (captured against the table entering the last
-    warm-up step).
+    warm-up step).  Every kind but sarah needs a finite sum (component sums
+    or full's exact mean), so on an oracle only sarah builds a history.
     """
+    if kind != SARAH and not problem.is_finite_sum:
+        raise UnsupportedConfigError(
+            f"a {kind} history needs a finite-sum operator")
     dim = problem.dim
     rng = np.random.default_rng(np.random.SeedSequence([0xA11CE, seed]))
     points = [rng.standard_normal(dim)]
-    for _ in range(warmup + 1):
-        points.append(points[-1] + step_scale * rng.standard_normal(dim))
+    for _ in range(WARMUP + 1):
+        points.append(points[-1] + STEP_SCALE * rng.standard_normal(dim))
 
     state = make_estimator(kind, params, problem, points[0], seed=(0xBEE, seed))
     pre_table = None
-    for j in range(1, warmup + 1):
-        if kind == SAGA and j == warmup:
+    for j in range(1, WARMUP + 1):
+        if kind == SAGA and j == WARMUP:
             pre_table = state.table.copy()
         estimator_step(state, points[j], points[j - 1], points[max(j - 2, 0)])
 
-    x_k, x_km1, x_km2 = points[warmup + 1], points[warmup], points[warmup - 1]
+    x_k, x_km1, x_km2 = points[WARMUP + 1], points[WARMUP], points[WARMUP - 1]
     hist = FrozenHistory(state=state, x_k=x_k, x_km1=x_km1, x_km2=x_km2)
 
     if kind in BIASED_KINDS:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from vrfrbs.core import InclusionProblem, SampledOperator, identity_resolvent
+from vrfrbs.core import (InclusionProblem, SampledOperator,
+                         UnsupportedConfigError, identity_resolvent)
 from vrfrbs.estimators import (EstimatorParams, _apply_step, _make_draws,
                                estimator_step, make_estimator, theory_card)
-from vrfrbs.verification import _next_step
+from vrfrbs.verification import _next_step, build_history
 
 
 def gaussian_affine_oracle(dim=3, noise=0.5, seed=0):
@@ -86,6 +87,33 @@ def test_oracle_exact_anchor_rejected():
     with pytest.raises(Exception, match="finite-sum"):
         make_estimator("svrg", EstimatorParams(b=4, p_switch=0.5),
                        problem, np.zeros(3), seed=0)
+
+
+def test_oracle_full_rejected():
+    problem, _, _ = gaussian_affine_oracle()
+    with pytest.raises(UnsupportedConfigError, match="full.*finite-sum"):
+        make_estimator("full", EstimatorParams(), problem, np.zeros(3), seed=0)
+
+
+ORACLE_PARAMS = {
+    "sgd": EstimatorParams(b=8),
+    "svrg": EstimatorParams(b=8, p_switch=0.5, mega_batch=64),
+    "sarah": EstimatorParams(b=8, p_switch=0.5, mega_batch=64),
+    "hsgd": EstimatorParams(b=8, omega=0.5, mega_batch=64),
+    "hsvrg": EstimatorParams(b=8, p_switch=0.5, omega=0.5, mega_batch=64),
+}
+
+
+@pytest.mark.parametrize("kind", ["sgd", "svrg", "hsgd", "hsvrg", "sarah"])
+def test_oracle_history_needs_finite_sum_except_sarah(kind):
+    problem, _, _ = gaussian_affine_oracle()
+    if kind == "sarah":
+        hist = build_history(kind, ORACLE_PARAMS[kind], problem, seed=0)
+        assert np.all(np.isfinite(hist.e_prev))
+        return
+    with pytest.raises(UnsupportedConfigError,
+                       match=f"{kind} history needs a finite-sum"):
+        build_history(kind, ORACLE_PARAMS[kind], problem, seed=0)
 
 
 def test_oracle_sgd_mean_direction():

@@ -9,34 +9,9 @@ from vrfrbs.core import (RowOperator, SampledOperator, apply_resolvent,
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
                              gen_auc_dataset, gen_random_mdp,
-                             power_iteration, sample_transitions,
-                             save_auc_dataset, save_transitions,
-                             spectral_norm, strongly_monotone_affine,
+                             sample_transitions, save_auc_dataset,
+                             save_transitions, strongly_monotone_affine,
                              uniform_features)
-
-
-# --- spectral norm ----------------------------------------------------------
-
-def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0)
-
-
-def test_spectral_norm_nilpotent_shift():
-    assert spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
-
-
-def test_spectral_norm_against_svd_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        M = rng.standard_normal((5, 5))
-        sigma = spectral_norm(M, tol=1e-12)
-        oracle = np.linalg.svd(M, compute_uv=False)[0]
-        assert sigma == pytest.approx(oracle, rel=1e-6)
-
-
-def test_power_iteration_reports_convergence():
-    sigma, ok = power_iteration(np.diag([2.0, 1.0]), tol=1e-12)
-    assert ok and sigma == pytest.approx(2.0)
 
 
 # --- AUC dataset ------------------------------------------------------------
@@ -407,6 +382,33 @@ def test_pe_feature_rescaling_lipschitz_bound():
         lo, hi = min(c, c * c), max(c, c * c)
         # rank-one blocks scale between c (offset part) and c^2 (quadratic)
         assert lo * L1 * 0.99 <= Lc <= hi * L1 * 1.01
+
+
+# --- Lipschitz constant of the mean map ------------------------------------
+
+def _small_auc():
+    return build_auc_problem(gen_auc_dataset(200, 6, 0.15, 0.3, seed=2))
+
+
+def _small_pe():
+    mdp = gen_random_mdp(30, 3, seed=2)
+    trans = sample_transitions(mdp, 100, uniform_features(30, 6, seed=3),
+                               seed=4)
+    return build_pe_problem(trans, gamma=0.95, tau_reg=1e-3)
+
+
+@pytest.mark.parametrize("build", [_small_auc, _small_pe],
+                         ids=["auc", "policy-eval"])
+def test_lipschitz_is_two_norm_of_operator_mean_map(build):
+    """L = ||M||_2 for the affine mean map G(x) = M x + g, with M rebuilt
+    from the operator column by column and its top eigenvalue of M^T M
+    taken by another LAPACK routine than the builders' norm."""
+    inclusion = build().inclusion
+    op = inclusion.forward
+    offset = op.full(np.zeros(op.dim))
+    M = np.column_stack([op.full(e) - offset for e in np.eye(op.dim)])
+    top = float(np.linalg.eigvalsh(M.T @ M).max())
+    assert inclusion.lipschitz ** 2 == pytest.approx(top, rel=1e-12)
 
 
 # --- export / import --------------------------------------------------------

@@ -88,3 +88,22 @@ def test_compare_runs_exit_status(toy_run, tmp_path, edit, status, capsys):
     assert compare.main([str(toy_run), str(other)]) == status
     report = capsys.readouterr().out
     assert report.count("identical bytes") == (3 if status == 0 else 2)
+
+
+
+def test_compare_runs_reports_absolute_change(toy_run, tmp_path, capsys):
+    other = tmp_path / "other"
+    shutil.copytree(toy_run, other)
+    values = []
+
+    def edit(v):
+        values.extend([float(v), float(format(float(v) * (1 + 1e-6), ".17g"))])
+        return format(values[1], ".17g")
+
+    _edit_last_row(other, "rel_residual", edit)
+    compare = _load_script("compare_runs.py")
+    assert compare.main([str(toy_run), str(other)]) == 2
+    old, new = values
+    line = (f"  rel_residual: {abs(new - old) / max(old, new):.3g} relative, "
+            f"{abs(new - old):.3g} absolute")
+    assert line in capsys.readouterr().out.splitlines()
