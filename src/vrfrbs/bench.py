@@ -34,9 +34,9 @@ import numpy as np
 from . import __version__
 from .core import InclusionProblem
 from .estimators import (_NEEDS_OMEGA, _NEEDS_SWITCH, BIASED_KINDS, FULL,
-                         KINDS, SAGA, SGD, EstimatorParams, default_params,
-                         increasing_batch_schedule, make_estimator,
-                         theory_card)
+                         KINDS, SAGA, SGD, EstimatorParams, check_params,
+                         default_params, increasing_batch_schedule,
+                         make_estimator, theory_card)
 from .problems import (build_auc_problem, build_pe_problem, gen_auc_dataset,
                        gen_random_mdp, sample_transitions,
                        strongly_monotone_affine, uniform_features)
@@ -117,6 +117,7 @@ def _read(block, table, where=""):
 
 
 # type(v) is int excludes JSON true/false
+_INT = _check(lambda v: type(v) is int, "an integer")
 _INT_GE1 = _check(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _INT_GE0 = _check(lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _FLOAT = _check(_finite, "a finite number", float)
@@ -141,19 +142,16 @@ _PROBLEM = {
                    "offset_scale": (_FLOAT, 1.0)},
 }
 
-_UNIT = _check(lambda v: _finite(v) and 0 < v <= 1, "a number in (0, 1]",
-               float)
-
-# the problem key that counts a family's components; a batch may not exceed it
+# the problem key that counts a family's components
 _SIZE_KEY = {"auc": "n", "policy-eval": "transitions",
              "affine-toy": "components"}
 
+# value ranges are estimators.check_params's, applied in load_config
 _PARAMS = {
-    "b": (_INT_GE1, _ABSENT), "p_switch": (_UNIT, _REQUIRED),
-    "omega": (_UNIT, _REQUIRED),
-    "mega_batch": (_check(
-        lambda v: v == "exact" or (type(v) is int and v >= 1),
-        "'exact' or an integer >= 1"), _ABSENT),
+    "b": (_INT, _ABSENT), "p_switch": (_FLOAT, _REQUIRED),
+    "omega": (_FLOAT, _REQUIRED),
+    "mega_batch": (_check(lambda v: v == "exact" or type(v) is int,
+                          "'exact' or an integer"), _ABSENT),
     "share_batches": (_BOOL, _ABSENT), "sgd_coeff": (_FLOAT, _ABSENT),
 }
 
@@ -249,22 +247,16 @@ def load_config(raw) -> dict:
     records."""
     config = _read(raw, _CONFIG)
     problem = read_problem(config["problem"])
-    size_key = _SIZE_KEY[problem["family"]]
-    n = problem[size_key]
+    n = problem[_SIZE_KEY[problem["family"]]]
     for i, alg in enumerate(config["algorithms"]):
-        if "b" not in _params_table(alg["estimator"]):
-            continue
-        # the batch the cell will use, default:* params resolved
-        b = resolve_params(alg, n).b
-        if b < 1:
-            raise ConfigError(
-                f"algorithms[{i}] ({alg['name']!r}): params "
-                f"{alg['params']!r} give b = {b!r} at problem.{size_key} "
-                f"= {n}; b must be >= 1")
-        if b > n:
-            raise ConfigError(
-                f"algorithms[{i}].params.b must be <= problem.{size_key} "
-                f"= {n}, not {b!r}")
+        # the params the cell will use, default:* resolved, checked as
+        # make_estimator checks them
+        params = resolve_params(alg, n)
+        try:
+            check_params(alg["estimator"], params, n)
+        except ValueError as exc:
+            raise ConfigError(f"algorithms[{i}] ({alg['name']!r}) "
+                              f"params.{exc}") from exc
     return config
 
 
@@ -522,11 +514,11 @@ def read_runs_csv(path):
     return rows
 
 
-def summarize(run_dir, out_path=None):
+def summarize(run_dir):
     """Aggregate runs.csv: per-algorithm mean and min/max envelope of
     log10(rel_residual) on a uniform integer epoch grid.
 
-    Writes aggregate.csv into run_dir (or out_path) and returns the rows.
+    Writes aggregate.csv into run_dir and returns the rows.
     """
     run_dir = Path(run_dir)
     path = run_dir / "runs.csv"
@@ -544,8 +536,7 @@ def summarize(run_dir, out_path=None):
                 col = stack[:, j]
                 out_rows.append((alg, g, float(col.mean()), float(col.min()),
                                  float(col.max())))
-    target = Path(out_path) if out_path else run_dir / "aggregate.csv"
-    with open(target, "w", newline="\n") as fh:
+    with open(run_dir / "aggregate.csv", "w", newline="\n") as fh:
         fh.write("algorithm,epoch,mean_log10_rel,min_log10_rel,max_log10_rel\n")
         for alg, g, m, lo, hi in out_rows:
             fh.write(f"{alg},{_fmt(g)},{_fmt(m)},{_fmt(lo)},{_fmt(hi)}\n")

@@ -32,7 +32,7 @@ by the step-size validators in `solver`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -66,7 +66,8 @@ class EstimatorParams:
         extreme (refresh every step).
     omega: blend weight in (0, 1] for the hybrid variants.
     mega_batch: "exact" for full-batch anchor evaluations (finite sums), or
-        an integer sample size for mega-batch anchors (oracles).
+        an integer sample size for mega-batch anchors (oracles; at most n
+        on a finite sum).
     share_batches: hybrids reuse the recursion batch for the blended term
         (True, the default) or draw an independent one.
     delta_schedule: k -> delta_k slack for the adaptive sgd batch rule.
@@ -136,27 +137,14 @@ class EstimatorState:
         return self.counter.count
 
     def clone(self, rng: np.random.Generator) -> "EstimatorState":
-        """Independent copy with its own RNG stream (Monte-Carlo trials)."""
-        return EstimatorState(
-            kind=self.kind,
-            params=self.params,
-            problem=self.problem,
-            x0=self.x0,
-            rng=rng,
-            k=self.k,
-            s_tilde=None if self.s_tilde is None else self.s_tilde.copy(),
-            counter=CallCounter(self.counter.count),
-            init_calls=self.init_calls,
-            snapshot=None if self.snapshot is None else self.snapshot.copy(),
-            snapshot_tag=self.snapshot_tag,
-            anchor_value=None if self.anchor_value is None else self.anchor_value.copy(),
+        """Independent copy with its own RNG stream (Monte-Carlo trials).
+        A step rebinds every array it changes except the saga table, which
+        it writes in place, so only the table is copied."""
+        return replace(
+            self, rng=rng, counter=CallCounter(self.counter.count),
             table=None if self.table is None else self.table.copy(),
-            table_mean=None if self.table_mean is None else self.table_mean.copy(),
-            steps_since_resync=self.steps_since_resync,
-            last_full=self.last_full,
             # the clone draws from its own generator
-            ahead=None if self.ahead is None else _NOTHING_AHEAD,
-        )
+            ahead=None if self.ahead is None else _NOTHING_AHEAD)
 
 
 _SAGA_RESYNC_EVERY = 512
@@ -168,36 +156,42 @@ _DRAW_CHUNK = 4096
 _NOTHING_AHEAD = np.empty(0, dtype=np.int64)
 
 
-def _validate_params(kind: str, params: EstimatorParams,
-                     problem: InclusionProblem) -> None:
+def check_params(kind: str, params: EstimatorParams,
+                 n: Optional[int]) -> None:
+    """The one check of estimator parameters, on a finite sum of `n`
+    components or on an oracle (`n` None).  A ValueError's message starts
+    with the field it names; a kind that needs a finite sum raises
+    UnsupportedConfigError on an oracle."""
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    if params.b < 1:
-        raise ValueError("batch size must be >= 1")
-    if problem.is_finite_sum and params.b > problem.n_components:
-        raise ValueError("batch size must be <= n for finite sums")
-    if kind in _NEEDS_SWITCH:
-        p = params.p_switch
-        if p is None or not (0.0 < p <= 1.0):
-            raise ValueError(f"{kind} requires p_switch in (0, 1]")
-    if kind in _NEEDS_OMEGA:
-        w = params.omega
-        if w is None or not (0.0 < w <= 1.0):
-            raise ValueError(f"{kind} requires omega in (0, 1]")
-    if kind == SAGA and not problem.is_finite_sum:
+    b, mega = params.b, params.mega_batch
+    if b < 1:
+        raise ValueError(f"b = {b!r} must be >= 1")
+    if n is not None and b > n:
+        raise ValueError(f"b = {b!r} must be <= n = {n}")
+    for name in ("p_switch",) * (kind in _NEEDS_SWITCH) \
+            + ("omega",) * (kind in _NEEDS_OMEGA):
+        value = getattr(params, name)
+        if value is None or not 0.0 < value <= 1.0:
+            raise ValueError(f"{name} = {value!r} must be in (0, 1] "
+                             f"for {kind}")
+    if kind == SAGA and n is None:
         raise UnsupportedConfigError(
             "saga needs a finite-sum operator (no table for oracles)")
-    if kind == FULL and not problem.is_finite_sum:
+    if kind == FULL and n is None:
         raise UnsupportedConfigError(
             "full needs a finite-sum operator (an exact mean costs n calls)")
-    if params.mega_batch == "exact":
-        if kind in (SVRG, SARAH, HSGD, HSVRG) and not problem.is_finite_sum:
+    if mega == "exact":
+        if kind in (SVRG, SARAH, HSGD, HSVRG) and n is None:
             raise UnsupportedConfigError(
                 f"{kind} with an exact anchor needs a finite-sum operator; "
                 "set mega_batch to an integer for oracles")
-    elif not (isinstance(params.mega_batch, (int, np.integer))
-              and params.mega_batch >= 1):
-        raise ValueError("mega_batch must be 'exact' or an integer >= 1")
+    elif not (isinstance(mega, (int, np.integer)) and mega >= 1):
+        raise ValueError(
+            f"mega_batch = {mega!r} must be 'exact' or an integer >= 1")
+    elif n is not None and mega > n:
+        raise ValueError(f"mega_batch = {mega} must be <= n = {n}; "
+                         "use 'exact'")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +422,7 @@ def _exact_direction(ev: _StepEval, x, x1) -> np.ndarray:
     """2 G(x_k) - G(x_{k-1}) for sarah's exact resets, keeping G(x_k) for
     the next step."""
     k = ev.st.k
-    if k == 0 or np.array_equal(x, x1):
+    if np.array_equal(x, x1):
         return ev.full(x, tag=k)
     # x1 first: it may hit the value kept at the previous step; the kept
     # slot then ends up holding the newest iterate's value
@@ -554,9 +548,6 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         w = pm.omega
         value = (1.0 - w) * rec + w * blend
 
-    else:  # pragma: no cover
-        raise ValueError(kind)
-
     if trials is not None:
         # full and all-reset sarah values are shared by every trial
         value = np.broadcast_to(value, (trials, state.problem.dim))
@@ -576,7 +567,7 @@ def make_estimator(kind: str, params: EstimatorParams,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
-    _validate_params(kind, params, problem)
+    check_params(kind, params, problem.forward.n)
     rng = np.random.default_rng(seed)
     st = EstimatorState(kind=kind, params=params, problem=problem,
                         x0=x0.copy(), rng=rng)
@@ -749,19 +740,17 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def increasing_batch_schedule(n: int, coeff: float = 0.01,
-                              exponent: float = 0.75) -> Callable[[int], int]:
-    """b_k = min(n, max(1, floor(coeff * n * (k+1)^exponent)))."""
+def increasing_batch_schedule(n: int,
+                              coeff: float = 0.01) -> Callable[[int], int]:
+    """b_k = min(n, max(1, floor(coeff * n * (k+1)^0.75)))."""
     def schedule(k: int) -> int:
-        return int(min(n, max(1, math.floor(coeff * n * (k + 1) ** exponent))))
+        return int(min(n, max(1, math.floor(coeff * n * (k + 1) ** 0.75))))
     return schedule
 
 
 def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
                    epsilon: Optional[float] = None,
-                   profile: str = "experiment",
-                   sgd_coeff: float = 0.01,
-                   sigma2: float = 0.0) -> EstimatorParams:
+                   profile: str = "experiment") -> EstimatorParams:
     """Stock parameter choices.
 
     profile="experiment" reproduces the benchmark settings (b = floor(0.5
@@ -787,67 +776,56 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
         if n is None:
             raise ValueError("experiment profile needs n")
         if kind == FULL:
-            return EstimatorParams(sigma2=sigma2)
+            return EstimatorParams()
         if kind == SGD:
-            return EstimatorParams(
-                b_schedule=increasing_batch_schedule(n, coeff=sgd_coeff),
-                sigma2=sigma2)
+            return EstimatorParams(b_schedule=increasing_batch_schedule(n))
         if kind == SVRG:
             return EstimatorParams(b=int(0.5 * n ** (2.0 / 3.0)),
-                                   p_switch=n ** (-1.0 / 3.0), sigma2=sigma2)
+                                   p_switch=n ** (-1.0 / 3.0))
         if kind == SAGA:
-            return EstimatorParams(b=int(0.5 * n ** (2.0 / 3.0)), sigma2=sigma2)
+            return EstimatorParams(b=int(0.5 * n ** (2.0 / 3.0)))
         if kind == SARAH:
             return EstimatorParams(b=int(0.25 * n ** 0.75),
-                                   p_switch=n ** (-0.25), sigma2=sigma2)
+                                   p_switch=n ** (-0.25))
         if kind == HSGD:
-            return EstimatorParams(b=int(0.25 * n ** 0.75), omega=0.5,
-                                   sigma2=sigma2)
+            return EstimatorParams(b=int(0.25 * n ** 0.75), omega=0.5)
         if kind == HSVRG:
             return EstimatorParams(b=int(0.25 * n ** 0.75),
-                                   p_switch=n ** (-1.0 / 3.0), omega=0.5,
-                                   sigma2=sigma2)
+                                   p_switch=n ** (-1.0 / 3.0), omega=0.5)
         raise ValueError(f"unknown estimator kind {kind!r}")
 
     if profile != "theory":
         raise ValueError("profile must be 'experiment' or 'theory'")
 
     if kind == FULL:
-        return EstimatorParams(sigma2=sigma2)
+        return EstimatorParams()
     if kind == SGD:
         if setting == "F":
-            return EstimatorParams(b_schedule=lambda k: min(n, k + 1),
-                                   sigma2=sigma2)
-        return EstimatorParams(b_schedule=lambda k: k + 1, sigma2=sigma2)
+            return EstimatorParams(b_schedule=lambda k: min(n, k + 1))
+        return EstimatorParams(b_schedule=lambda k: k + 1)
     if kind == SVRG:
         if setting == "F":
             p = n ** (-1.0 / 3.0)
-            return EstimatorParams(b=clamp(40.0 / p ** 2), p_switch=p,
-                                   sigma2=sigma2)
+            return EstimatorParams(b=clamp(40.0 / p ** 2), p_switch=p)
         p = epsilon ** (2.0 / 3.0)
         return EstimatorParams(b=clamp(80.0 / p ** 2), p_switch=p,
-                               mega_batch=int(math.ceil(epsilon ** -2)),
-                               sigma2=sigma2)
+                               mega_batch=int(math.ceil(epsilon ** -2)))
     if kind == SAGA:
-        return EstimatorParams(b=clamp(40.0 ** (1.0 / 3.0) * n ** (2.0 / 3.0)),
-                               sigma2=sigma2)
+        return EstimatorParams(b=clamp(40.0 ** (1.0 / 3.0) * n ** (2.0 / 3.0)))
     if kind == SARAH:
         if setting == "F":
             p = n ** (-0.25)
-            return EstimatorParams(b=clamp(110.0 / p ** 3), p_switch=p,
-                                   sigma2=sigma2)
+            return EstimatorParams(b=clamp(110.0 / p ** 3), p_switch=p)
         p = min(1.0, epsilon)
         return EstimatorParams(b=clamp(110.0 / p ** 3), p_switch=p,
-                               mega_batch=int(math.ceil(epsilon ** -4)),
-                               sigma2=sigma2)
+                               mega_batch=int(math.ceil(epsilon ** -4)))
     if kind == HSGD:
         w = n ** (-0.25) if setting == "F" else min(1.0, epsilon)
         C = 2.0
         b = 55.0 * C * (1.0 - w) ** 2 / (w ** 3 * (2.0 - w))
         mega: Union[int, str] = "exact" if setting == "F" \
             else int(math.ceil(epsilon ** -3))
-        return EstimatorParams(b=clamp(b), omega=w, mega_batch=mega,
-                               sigma2=sigma2)
+        return EstimatorParams(b=clamp(b), omega=w, mega_batch=mega)
     if kind == HSVRG:
         if setting == "F":
             p = n ** (-0.25)
@@ -858,5 +836,5 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
         b = max(220.0 / w ** 3, 880.0 / (w * p * p))
         mega = "exact" if setting == "F" else int(math.ceil(epsilon ** -3))
         return EstimatorParams(b=clamp(b), p_switch=p, omega=w,
-                               mega_batch=mega, sigma2=sigma2)
+                               mega_batch=mega)
     raise ValueError(f"unknown estimator kind {kind!r}")

@@ -409,12 +409,11 @@ def affine_problem_from_components(B: np.ndarray,
                             lipschitz=L, known_solution=solution)
 
 
-def linear_toy(n: int = 10, dim: int = 4, seed=0,
-               spread: float = 0.5) -> InclusionProblem:
+def linear_toy(n: int = 10, dim: int = 4, seed=0) -> InclusionProblem:
     """Small random affine finite sum around the identity; the workhorse of
     the Monte-Carlo verification suite."""
     rng = np.random.default_rng(np.random.SeedSequence([0x70F, seed]))
-    B = np.stack([np.eye(dim) + spread * rng.standard_normal((dim, dim)) / math.sqrt(dim)
+    B = np.stack([np.eye(dim) + 0.5 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
                   for _ in range(n)])
     c = rng.standard_normal((n, dim))
     return affine_problem_from_components(B, c)

@@ -294,13 +294,13 @@ def _mc_moments(history: FrozenHistory, trials: int, seed,
 
 
 def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
-                trials: int, seed, threshold: float, mode: str) -> McReport:
+                trials: int, seed, mode: str) -> McReport:
     """Certify E[e_k | frozen past] = target.
 
     mode="enumerate" sums all outcomes on tiny instances and requires the
     mean error to match to 1e-12 (relative to the direction's size);
-    otherwise ||mean - target|| is compared with the combined standard
-    error of the Monte-Carlo mean.
+    otherwise ||mean - target|| may be at most DEFAULT_SIGMA_THRESHOLD
+    standard errors of the Monte-Carlo mean.
     """
     if mode == "enumerate":
         s_true = _exact_direction_value(history.problem, history.x_k,
@@ -323,25 +323,21 @@ def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
         margin = dn / se
     return McReport(name=name, trials=count, sample_mean=mom.mean,
                     std_error=se, target=target, margin_sigmas=margin,
-                    passed=margin <= threshold)
+                    passed=margin <= DEFAULT_SIGMA_THRESHOLD)
 
 
 def check_unbiased(history: FrozenHistory, trials: int = 100_000, seed: int = 0,
-                   threshold: float = DEFAULT_SIGMA_THRESHOLD,
                    mode: str = "mc") -> McReport:
     """Certify E[S_tilde_k | frozen past] = S_k for an unbiased kind."""
     kind = history.state.kind
     if kind not in UNBIASED_KINDS:
         raise ValueError(f"{kind} is not an unbiased estimator kind")
     return _check_mean(history, f"unbiased/{kind}",
-                       np.zeros(history.problem.dim), trials, seed,
-                       threshold, mode)
+                       np.zeros(history.problem.dim), trials, seed, mode)
 
 
 def check_bias_recursion(history: FrozenHistory, trials: int = 100_000,
-                         seed: int = 0,
-                         threshold: float = DEFAULT_SIGMA_THRESHOLD,
-                         mode: str = "mc") -> McReport:
+                         seed: int = 0, mode: str = "mc") -> McReport:
     """Certify E[e_k | frozen past] = (1 - tau) e_{k-1} for a biased kind."""
     kind = history.state.kind
     if kind not in BIASED_KINDS:
@@ -351,21 +347,19 @@ def check_bias_recursion(history: FrozenHistory, trials: int = 100_000,
     card = theory_card(kind, history.state.params, history.problem.lipschitz,
                        n=history.problem.forward.n)
     return _check_mean(history, f"bias-recursion/{kind}",
-                       (1.0 - card.tau) * history.e_prev, trials, seed,
-                       threshold, mode)
+                       (1.0 - card.tau) * history.e_prev, trials, seed, mode)
 
 
 def check_variance_recursion(history: FrozenHistory, trials: int = 100_000,
-                             seed: int = 0,
-                             threshold: float = DEFAULT_SIGMA_THRESHOLD) -> McReport:
+                             seed: int = 0) -> McReport:
     """One-sided check of the variance recursion at the theory-card
     constants: the Monte-Carlo mean of ||e_k||^2 must not exceed
 
         (1 - kappa) Delta_{k-1} + Theta ||dx||^2 + Theta_hat ||dx'||^2
             + delta_k
 
-    by more than `threshold` standard errors, with Delta_{k-1} and delta_k
-    realized by `build_history`.
+    by more than DEFAULT_SIGMA_THRESHOLD standard errors, with Delta_{k-1}
+    and delta_k realized by `build_history`.
     """
     state = history.state
     card = theory_card(state.kind, state.params, state.problem.lipschitz,
@@ -386,4 +380,4 @@ def check_variance_recursion(history: FrozenHistory, trials: int = 100_000,
     return McReport(name=f"variance-recursion/{state.kind}", trials=count,
                     sample_mean=np.array([mean]), std_error=se,
                     target=np.array([rhs]), margin_sigmas=margin,
-                    passed=mean <= rhs + threshold * se)
+                    passed=mean <= rhs + DEFAULT_SIGMA_THRESHOLD * se)

@@ -697,3 +697,52 @@ def test_cli_run_exit_codes_property(config):
         code = cli_main(["run", "--config", str(cfg_path),
                          "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
+
+
+def test_cli_mega_batch_above_n_exits_before_any_cell(tmp_path, capsys,
+                                                      monkeypatch):
+    """A mega batch larger than the finite sum is exit 2 naming the field
+    when the config is read: no cell runs and no output directory is made."""
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    cfg = toy_config()
+    cfg["algorithms"][1]["params"]["mega_batch"] = 10 ** 12
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert cells == [] and not out.exists()
+    assert ("config error: algorithms[1] ('svrg') params.mega_batch = "
+            "1000000000000 must be <= n = 12; use 'exact'") \
+        in capsys.readouterr().err
+
+
+_RANGE_VIOLATIONS = {
+    "b-zero-default": ("b", "svrg", "default:experiment", 2),
+    "b-above-n": ("b", "saga", {"b": 13}, 12),
+    "p_switch-zero": ("p_switch", "svrg", {"b": 2, "p_switch": 0.0}, 12),
+    "p_switch-above-1": ("p_switch", "sarah", {"b": 2, "p_switch": 1.5}, 12),
+    "omega-zero": ("omega", "hsgd", {"b": 2, "omega": 0.0}, 12),
+    "omega-above-1": ("omega", "hsvrg",
+                      {"b": 2, "p_switch": 0.5, "omega": 1.5}, 12),
+    "mega_batch-zero": ("mega_batch", "svrg",
+                        {"b": 2, "p_switch": 0.5, "mega_batch": 0}, 12),
+    "mega_batch-above-n": ("mega_batch", "hsgd",
+                           {"b": 2, "omega": 0.5, "mega_batch": 13}, 12),
+}
+
+
+@pytest.mark.parametrize("field,kind,params,n", _RANGE_VIOLATIONS.values(),
+                         ids=list(_RANGE_VIOLATIONS))
+def test_one_params_check_serves_load_config_and_make_estimator(field, kind,
+                                                                params, n):
+    alg = {"estimator": kind, "params": params}
+    cfg = toy_config(algorithms=[alg])
+    cfg["problem"]["components"] = n
+    with pytest.raises(ConfigError, match=rf"params\.{field} "):
+        load_config(cfg)
+    problem = bench.build_problem(cfg["problem"], 0, False)
+    with pytest.raises(ValueError) as raised:
+        vrfrbs.make_estimator(kind, bench.resolve_params(alg, n), problem,
+                              np.zeros(problem.dim), seed=0)
+    assert str(raised.value).startswith(f"{field} = ")

@@ -591,3 +591,15 @@ def test_sgd_schedule_clamped(n, k):
     from vrfrbs.estimators import increasing_batch_schedule
     sched = increasing_batch_schedule(n, coeff=10.0)
     assert 1 <= sched(k) <= n
+
+
+@pytest.mark.parametrize("kind", ["svrg", "sarah", "hsgd", "hsvrg"])
+def test_mega_batch_above_n_rejected_on_a_finite_sum(kind):
+    prob = components_only_problem(n=4)
+    params = EstimatorParams(b=1, p_switch=0.5, omega=0.5, mega_batch=5)
+    with pytest.raises(ValueError,
+                       match=r"^mega_batch = 5 must be <= n = 4; use 'exact'$"):
+        make_estimator(kind, params, prob, np.zeros(3), seed=0)
+    st_ = make_estimator(kind, dataclasses.replace(params, mega_batch=4),
+                         prob, np.zeros(3), seed=0)
+    assert st_.init_calls == 4

@@ -176,3 +176,14 @@ def test_oracle_theory_cards_expose_sigma_slack():
     # mega-batch anchors: inflated constants and nonzero delta_k
     assert card.theta == pytest.approx(32.0 / (8 * 0.5))
     assert card.delta_k(0) == pytest.approx(0.5 * 2.0 / 64)
+
+
+@pytest.mark.parametrize("kind", ["svrg", "sarah", "hsgd", "hsvrg"])
+def test_oracle_mega_batch_has_no_component_bound(kind):
+    """An oracle has no n, so a mega batch of any size builds; its initial
+    direction costs exactly that many samples."""
+    problem, _, _ = gaussian_affine_oracle()
+    st = make_estimator(kind, ORACLE_PARAMS[kind], problem, np.zeros(3),
+                        seed=0)
+    assert ORACLE_PARAMS[kind].mega_batch == 64
+    assert st.init_calls == 64

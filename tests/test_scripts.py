@@ -107,3 +107,26 @@ def test_compare_runs_reports_absolute_change(toy_run, tmp_path, capsys):
     line = (f"  rel_residual: {abs(new - old) / max(old, new):.3g} relative, "
             f"{abs(new - old):.3g} absolute")
     assert line in capsys.readouterr().out.splitlines()
+
+
+# --- reference_outputs.py ----------------------------------------------------
+
+def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):
+    reference = _load_script("reference_outputs.py")
+    monkeypatch.setattr(reference, "DESK_EPOCHS",
+                        {"policy_eval_desk": 3, "auc_desk": 2})
+    monkeypatch.setattr(reference, "VERIFY_TRIALS", 2_000)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert reference.main([str(out)]) == 0
+    files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*")
+                   if p.is_file())
+    assert len(files) == 7   # verify.txt and three files per desk config
+    for rel in files:
+        assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes()
+    lines = (runs[0] / "verify.txt").read_text().splitlines()
+    # 7 kinds x 2 seeds: one line naming each run, then its two reports
+    assert len([l for l in lines if l.startswith("vrfrbs verify ")]) == 14
+    reports = [l for l in lines if not l.startswith("vrfrbs verify ")]
+    assert len(reports) == 28
+    assert all(l.split(", ")[1] == "2000" for l in reports)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,49 @@ def test_chunked_moments_match_one_shot(squared):
                                atol=1e-12 * scale)
     np.testing.assert_allclose(mom.m2 / (trials - 1),
                                samples.var(axis=0, ddof=1), rtol=1e-12)
+
+
+# every kind at the experiment defaults, plus the mega-batch and unshared
+# variants, on the n = 10 toy that `history_for` builds
+CLONE_CASES = [(kind, default_params(kind, n=10)) for kind in KINDS] + [
+    (kind, dataclasses.replace(default_params(kind, n=10), mega_batch=3))
+    for kind in ("svrg", "sarah", "hsgd")] + [
+    (kind, dataclasses.replace(default_params(kind, n=10),
+                               share_batches=False))
+    for kind in ("hsgd", "hsvrg")]
+
+
+def _frozen_fields(state):
+    """Copies of every array field of `state` and of the counters a step
+    moves."""
+    arrays = {f.name: getattr(state, f.name).copy()
+              for f in dataclasses.fields(state)
+              if isinstance(getattr(state, f.name), np.ndarray)}
+    tag, value = state.last_full or (None, None)
+    return arrays, (state.k, state.snapshot_tag, state.steps_since_resync,
+                    tag, None if value is None else value.copy())
+
+
+@pytest.mark.parametrize("kind,params", CLONE_CASES,
+                         ids=[f"{k}-{i}" for i, (k, _) in
+                              enumerate(CLONE_CASES)])
+def test_stepping_a_clone_leaves_the_frozen_state_alone(kind, params):
+    """The enumeration's one-step probes and a trial-batched Monte-Carlo
+    pass step clones of the frozen state; the state itself stays bit for
+    bit as it was."""
+    hist = history_for(kind, params)
+    points = (hist.x_k, hist.x_km1, hist.x_km2)
+    arrays, counters = _frozen_fields(hist.state)
+    assert "x0" in arrays and "s_tilde" in arrays
+    for seed in range(3):
+        probe = _next_step(hist.state, np.random.default_rng(seed))
+        _apply_step(probe, *points, _make_draws(probe, *points))
+    for _ in _mc_error_chunks(hist, 500, seed=1):
+        pass
+    after, after_counters = _frozen_fields(hist.state)
+    assert after.keys() == arrays.keys()
+    for name, before in arrays.items():
+        assert np.array_equal(after[name], before), name
+    assert after_counters[:4] == counters[:4]
+    if counters[4] is not None:
+        assert np.array_equal(after_counters[4], counters[4])
