@@ -363,13 +363,17 @@ def _anchor_at(ev: _StepEval, point: np.ndarray, draws: dict) -> np.ndarray:
 
 
 def _select(coin, on_coin, otherwise):
-    """Per-trial choice between the two branch values of a coin; None marks
-    a branch no trial takes."""
+    """Per-trial choice between the two branch values of a coin, bit for bit
+    as np.where(coin[:, None], ...); None marks a branch no trial takes."""
     if on_coin is None:
         return otherwise
     if otherwise is None:
         return on_coin
-    return np.where(coin[:, None], on_coin, otherwise)
+    if on_coin.ndim == 2:  # per trial: faster than a boolean gather
+        return np.where(coin[:, None], on_coin, otherwise)
+    out = np.full((len(coin), len(on_coin)), otherwise)
+    out[coin] = on_coin  # shared: faster than np.where's broadcast
+    return out
 
 
 def _snapshot_coin(ev: _StepEval, x1: np.ndarray, draws: dict):
@@ -548,7 +552,7 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         w = pm.omega
         value = (1.0 - w) * rec + w * blend
 
-    if trials is not None:
+    if trials is not None and value.ndim == 1:
         # full and all-reset sarah values are shared by every trial
         value = np.broadcast_to(value, (trials, state.problem.dim))
     return value, ev.calls
@@ -692,7 +696,8 @@ def theory_card(kind: str, params: EstimatorParams, L: float,
         C = _hybrid_c(params)
         b_hat = b  # blended batch has the same size
         mu = 0.0 if params.mega_batch == "exact" else 1.0
-        inner = C * (1.0 - w) ** 2 / b + 8.0 * (1.0 + mu) * w * w / (b_hat * p * p)
+        inner = C * (1.0 - w) ** 2 / b + 8.0 * (1.0 + mu) * w * w / (b_hat * p * p) \
+            if b_hat * p * p else math.inf  # p^2 underflows below p ~ 1e-162
         if params.mega_batch == "exact":
             delta = zero
         else:

@@ -379,7 +379,7 @@ def affine_problem_from_components(B: np.ndarray,
 
     The average-Lipschitz constant is computed exactly from
     lambda_max((1/n) sum_i B_i^T B_i).  Intended for small test problems:
-    a batch evaluates all n components once at its point and gathers the
+    a batch evaluates all n components once at its point and takes the
     requested rows, so a large batch of repeated indices (Monte-Carlo
     trials) costs n matrix-vector products, not one per sample.  Each row
     is the same product as B[i] @ x + c[i], bit for bit.
@@ -393,7 +393,7 @@ def affine_problem_from_components(B: np.ndarray,
     L = math.sqrt(max(float(np.linalg.eigvalsh(gram).max()), 0.0))
 
     def batch_components(x, idx):
-        return (B @ x + c)[idx]
+        return (B @ x + c).take(idx, axis=0)
 
     def full_eval(x):
         return B_mean @ x + c_mean

@@ -12,6 +12,7 @@ from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              sample_transitions, save_auc_dataset,
                              save_transitions, strongly_monotone_affine,
                              uniform_features)
+from vrfrbs.verification import MC_CHUNK
 
 
 # --- AUC dataset ------------------------------------------------------------
@@ -629,8 +630,9 @@ def test_stacked_batch_mean_equals_per_point_calls(family):
     lambda: problems.bilinear_problem(2),
 ], ids=["linear-toy", "linear-toy-50", "bilinear"])
 def test_affine_toy_components_match_per_sample_products(build, monkeypatch):
-    """Evaluating all n components and gathering is bit-identical to one
-    product B[i] @ x + c[i] per requested sample."""
+    """Evaluating all n components and gathering with take is bit-identical
+    to one product B[i] @ x + c[i] per requested sample, and to fancy
+    indexing, up to a trial chunk's 2 * MC_CHUNK indices with repeats."""
     given = {}
     make = problems.affine_problem_from_components
 
@@ -642,15 +644,17 @@ def test_affine_toy_components_match_per_sample_products(build, monkeypatch):
     op = build().forward
     B, c, n = given["B"], given["c"], op.n
     rng = np.random.default_rng(4)
+    # the last: what one Monte-Carlo chunk of a b = 2 svrg step asks for
     batches = [rng.integers(0, n, size=n // 2), np.arange(n),
                rng.integers(0, n, size=40 * n), np.array([0, 0, n - 1, 0]),
-               np.zeros(0, dtype=int)]
+               np.zeros(0, dtype=int), rng.integers(0, n, size=2 * MC_CHUNK)]
     for idx in batches:
         for scale in (1e-8, 1.0, 1e8):
             x = scale * rng.standard_normal(op.dim)
             got = op.batch_components(x, idx)
             assert got.shape == (len(idx), op.dim)
             np.testing.assert_array_equal(got, B[idx] @ x + c[idx])
+            np.testing.assert_array_equal(got, (B @ x + c)[idx])
 
 
 def test_bilinear_problem_rotation():

@@ -103,6 +103,19 @@ def test_card_hsvrg_constants():
     assert card.tau == pytest.approx(w)
 
 
+@pytest.mark.parametrize("p", [8.024647735177879e-266, 5e-324])
+def test_card_hsvrg_underflowing_p_squared_is_an_infinite_bound(p):
+    """b p^2 rounds to 0 for p below ~1e-162: the card's Theta is then
+    infinite and the kappa condition fails, where the division raised
+    ZeroDivisionError and `vrfrbs run` escaped with a traceback."""
+    card = theory_card("hsvrg", EstimatorParams(b=1, p_switch=p, omega=0.5),
+                       L=1.0)
+    assert card.theta == math.inf and card.theta_hat == math.inf
+    cond = [c for c in validate_rates(card, 1.0, 0.05).checks
+            if "kappa" in c.name][0]
+    assert not cond.passed
+
+
 # --- validators / boundary identities --------------------------------------
 
 def test_validate_saga_at_ceiled_theory_batch():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vrfrbs.estimators import (KINDS, EstimatorParams, _apply_step,
-                               _make_draws, default_params)
+                               _make_draws, _select, default_params)
 from vrfrbs.problems import linear_toy
 from vrfrbs.verification import (MC_CHUNK, McReport, _mc_error_chunks,
                                  _mc_moments, _next_step, build_history,
@@ -222,6 +222,51 @@ def test_batched_step_matches_scalar_step(kind, params):
                for key, d in draws.items()}
         value, _ = _apply_step(_next_step(hist.state), *points, one)
         np.testing.assert_array_equal(values[t], value, err_msg=f"{kind} {t}")
+
+
+@pytest.mark.parametrize("kind", ["svrg", "sarah", "hsvrg"])
+def test_batched_step_matches_scalar_step_when_every_coin_comes_up(kind):
+    """At p_switch = 1 every trial takes the coin branch: the batched step
+    still equals the one-step path bit for bit, trial by trial."""
+    params = dataclasses.replace(
+        default_params(kind, n=10, profile="experiment"), p_switch=1.0)
+    hist = history_for(kind, params)
+    points = (hist.x_k, hist.x_km1, hist.x_km2)
+    trials = 200
+    state = _next_step(hist.state, np.random.default_rng(5))
+    draws = _make_draws(state, *points, trials=trials)
+    values, _ = _apply_step(state, *points, draws, trials=trials)
+    assert draws["coin"].all()
+    assert values.shape == (trials, hist.problem.dim)
+    for t in range(trials):
+        one = {key: bool(d[t]) if key == "coin" else d[:, t]
+               for key, d in draws.items()}
+        value, _ = _apply_step(_next_step(hist.state), *points, one)
+        np.testing.assert_array_equal(values[t], value, err_msg=f"{kind} {t}")
+
+
+@pytest.mark.parametrize("coins", ["all", "none", "mixed"])
+@pytest.mark.parametrize("on_shape,other_shape", [
+    ("dim", "dim"), ("dim", "trials"), ("trials", "dim"),
+    ("trials", "trials")])
+def test_select_equals_where(coins, on_shape, other_shape):
+    """`_select` gives np.where's bits for every operand shape pair a
+    batched step passes it: a value shared by all trials (dim,) or one per
+    trial (T, dim)."""
+    trials, dim = 37, 4
+    rng = np.random.default_rng(11)
+    coin = {"all": np.ones(trials, dtype=bool),
+            "none": np.zeros(trials, dtype=bool),
+            "mixed": rng.random(trials) < 0.4}[coins]
+    shapes = {"dim": (dim,), "trials": (trials, dim)}
+    on_coin = rng.standard_normal(shapes[on_shape])
+    otherwise = rng.standard_normal(shapes[other_shape])
+    got = _select(coin, on_coin, otherwise)
+    assert got.shape == (trials, dim) and got.dtype == np.float64
+    np.testing.assert_array_equal(
+        got, np.where(coin[:, None], on_coin, otherwise))
+    assert _select(coin, None, otherwise) is otherwise
+    assert _select(coin, on_coin, None) is on_coin
 
 
 @pytest.mark.parametrize("squared", [False, True])
