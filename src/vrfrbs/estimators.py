@@ -363,17 +363,13 @@ def _anchor_at(ev: _StepEval, point: np.ndarray, draws: dict) -> np.ndarray:
 
 
 def _select(coin, on_coin, otherwise):
-    """Per-trial choice between the two branch values of a coin, bit for bit
-    as np.where(coin[:, None], ...); None marks a branch no trial takes."""
+    """Per-trial choice between the two branch values of a coin; None marks
+    a branch no trial takes."""
     if on_coin is None:
         return otherwise
     if otherwise is None:
         return on_coin
-    if on_coin.ndim == 2:  # per trial: faster than a boolean gather
-        return np.where(coin[:, None], on_coin, otherwise)
-    out = np.full((len(coin), len(on_coin)), otherwise)
-    out[coin] = on_coin  # shared: faster than np.where's broadcast
-    return out
+    return np.where(coin[:, None], on_coin, otherwise)
 
 
 def _snapshot_coin(ev: _StepEval, x1: np.ndarray, draws: dict):
@@ -552,7 +548,7 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         w = pm.omega
         value = (1.0 - w) * rec + w * blend
 
-    if trials is not None and value.ndim == 1:
+    if trials is not None:
         # full and all-reset sarah values are shared by every trial
         value = np.broadcast_to(value, (trials, state.problem.dim))
     return value, ev.calls
@@ -741,7 +737,8 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
         w = params.omega
         p = params.p_switch
         return (4.0 * L2 * w ** 3 * (2.0 - w),
-                440.0 * L2 * (1.0 / b + 4.0 * w * w / (b * p * p)))
+                440.0 * L2 * (1.0 / b + 4.0 * w * w / (b * p * p))
+                if b * p * p else math.inf)  # as in theory_card's hsvrg
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 

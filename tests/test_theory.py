@@ -116,6 +116,15 @@ def test_card_hsvrg_underflowing_p_squared_is_an_infinite_bound(p):
     assert not cond.passed
 
 
+@pytest.mark.parametrize("p", [8.024647735177879e-266, 5e-324])
+def test_sizing_rule_hsvrg_underflowing_p_squared_is_an_infinite_side(p):
+    """The design rule's right side has the same b p^2 divisor as the card:
+    it is infinite there (the rule fails) rather than a ZeroDivisionError."""
+    lhs, rhs = sizing_rule_sides(
+        "hsvrg", EstimatorParams(b=1, p_switch=p, omega=0.5), L=1.0)
+    assert rhs == math.inf and lhs < rhs
+
+
 # --- validators / boundary identities --------------------------------------
 
 def test_validate_saga_at_ceiled_theory_batch():
