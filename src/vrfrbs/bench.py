@@ -270,7 +270,7 @@ def build_problem(problem_spec: dict, run_seed: int,
     if family == "auc":
         ds = gen_auc_dataset(spec["n"], spec["d"], spec["p_pos"],
                              spec["noise_sigma"], seed=data_seed)
-        return build_auc_problem(ds, radius=spec["radius"]).inclusion
+        return build_auc_problem(ds, radius=spec["radius"])
     if family == "policy-eval":
         mdp = gen_random_mdp(spec["states"], spec["actions"], seed=data_seed,
                              gamma=spec["gamma"])
@@ -278,7 +278,7 @@ def build_problem(problem_spec: dict, run_seed: int,
                                  seed=data_seed + (1,))
         trans = sample_transitions(mdp, spec["transitions"], feats,
                                    seed=data_seed + (2,))
-        return build_pe_problem(trans, mdp.gamma, spec["tau_reg"]).inclusion
+        return build_pe_problem(trans, mdp.gamma, spec["tau_reg"])
     return strongly_monotone_affine(
         spec["dim"], spec["components"], seed=data_seed, mu=spec["mu"],
         slope_scale=spec["slope_scale"], offset_scale=spec["offset_scale"])
@@ -358,7 +358,7 @@ def _run_cell(config: dict, alg_index: int, seed: int) -> CellResult:
              rec.wall_ms if config["timing"] == "wall" else 0.0)
             for rec in trace.records]
     card = theory_card(estimator, params, problem.lipschitz, n=n)
-    report = validate_rates(card, problem.lipschitz, eta)
+    checks = validate_rates(card, problem.lipschitz, eta)
     resolution = {
         "algorithm": alg["name"],
         "seed": seed,
@@ -369,7 +369,7 @@ def _run_cell(config: dict, alg_index: int, seed: int) -> CellResult:
         "oracle_calls": trace.oracle_calls,
         "final_rel_residual": trace.records[-1].rel_residual,
         "conditions": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                        "passed": c.passed} for c in report.checks],
+                        "passed": c.passed} for c in checks],
     }
     if estimator in ("svrg", "hsvrg"):
         # conventional accounting (amortized anchor + two batch terms) next

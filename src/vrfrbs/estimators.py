@@ -611,7 +611,7 @@ def estimator_step(state: EstimatorState, x_k, x_km1, x_km2):
     x_km1 = np.asarray(x_km1, dtype=float)
     x_km2 = np.asarray(x_km2, dtype=float)
     state.k += 1
-    draws = _plan_draws(state, x_k, x_km1, x_km2, _coin, _draw_batch)
+    draws = _make_draws(state, x_k, x_km1, x_km2)
     value, calls = _apply_step(state, x_k, x_km1, x_km2, draws)
     state.s_tilde = value
     state.counter.add(calls)
@@ -726,6 +726,8 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
         scale = 1.0 if params.mega_batch == "exact" else 2.0
         return (p / 2.0) * L2, scale * 20.0 * L2 / (b * p)
     if kind == SAGA:
+        if n is None:
+            raise ValueError("saga sizing rule needs n")
         return (b / (2.0 * n)) * L2, 20.0 * L2 * n / (b * b)
     if kind == SARAH:
         p = params.p_switch
@@ -813,6 +815,7 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
         return EstimatorParams(b=clamp(80.0 / p ** 2), p_switch=p,
                                mega_batch=int(math.ceil(epsilon ** -2)))
     if kind == SAGA:
+        check_params(SAGA, EstimatorParams(), n)  # no table on an oracle
         return EstimatorParams(b=clamp(40.0 ** (1.0 / 3.0) * n ** (2.0 / 3.0)))
     if kind == SARAH:
         if setting == "F":

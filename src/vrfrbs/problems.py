@@ -88,23 +88,9 @@ def gen_auc_dataset(n: int, d: int, p_pos: float, noise_sigma: float,
     return AucDataset(X=X, y=y, p_pos=p_emp, kappa_feat=kappa)
 
 
-@dataclass(frozen=True)
-class AucProblem:
-    """AUC saddle problem with both per-sample and assembled affine forms."""
-
-    dataset: AucDataset
-    Q: np.ndarray
-    q: np.ndarray
-    radius: float
-    inclusion: InclusionProblem
-
-    @property
-    def dim(self) -> int:
-        return self.dataset.d + 3
-
-
-def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> AucProblem:
-    """Assemble the AUC operator, its affine form, and the ball-box resolvent.
+def build_auc_problem(dataset: AucDataset,
+                      radius: Optional[float] = None) -> InclusionProblem:
+    """Assemble the AUC operator and the ball-box resolvent.
 
     The mean operator is G(z) = Q z + q with
 
@@ -114,9 +100,9 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
                        [-(mu- - mu+)^T, 0, 0,       1    ]]
 
     built from the class means mu+/- and second-moment matrices S+/-, and
-    q = 2 p (1-p) (mu- - mu+, 0, 0, 0).  The stepping Lipschitz constant is
-    ||Q||_2.  The constraint set is {||w|| <= R} x [-R kappa, R kappa]^2 x
-    [-2 R kappa, 2 R kappa]; R defaults to 100 (inactive in practice).
+    q = 2 p (1-p) (mu- - mu+, 0, 0, 0), which `forward.full` evaluates;
+    lipschitz = ||Q||_2.  The constraints are ||w|| <= R, |a|, |b| <= R kappa
+    and |alpha| <= 2 R kappa; R defaults to 100 (inactive in practice).
     """
     X, y = dataset.X, dataset.y
     n, d = X.shape
@@ -176,8 +162,7 @@ def build_auc_problem(dataset: AucDataset, radius: Optional[float] = None) -> Au
             R, [R * kappa, R * kappa, 2.0 * R * kappa])
     else:
         resolvent = identity_resolvent()
-    inclusion = InclusionProblem(forward=op, resolvent=resolvent, lipschitz=L)
-    return AucProblem(dataset=dataset, Q=Q, q=q, radius=R, inclusion=inclusion)
+    return InclusionProblem(forward=op, resolvent=resolvent, lipschitz=L)
 
 
 # ---------------------------------------------------------------------------
@@ -304,29 +289,14 @@ def sample_transitions(mdp: Mdp, n: int, features: np.ndarray,
     return Transitions(phi=F[states[:-1]], phi_next=F[states[1:]], r=rewards)
 
 
-@dataclass(frozen=True)
-class PeProblem:
-    """Policy-evaluation saddle problem in the variable x = (theta, w)."""
-
-    transitions: Transitions
-    gamma: float
-    tau_reg: float
-    G_mat: np.ndarray   # (2d, 2d) assembled affine map
-    g_vec: np.ndarray   # (2d,) offset
-    inclusion: InclusionProblem
-
-    @property
-    def d(self) -> int:
-        return self.transitions.d
-
-
 def build_pe_problem(transitions: Transitions, gamma: float,
-                     tau_reg: float) -> PeProblem:
+                     tau_reg: float) -> InclusionProblem:
     """Per-transition operators G_t(x) = (-A_t^T w, A_t theta + C_t w - b_t)
     with A_t = phi_t (phi_t - gamma phi_t')^T, b_t = r_t phi_t,
     C_t = phi_t phi_t^T, applied as rank-one products (no d x d matrices per
-    sample).  The l1 regularizer on theta yields a soft-threshold resolvent
-    with weight tau_reg (shrinkage eta * tau_reg at step size eta).
+    sample); `forward.full` evaluates the assembled mean map.  The l1
+    regularizer on theta yields a soft-threshold resolvent with weight
+    tau_reg (shrinkage eta * tau_reg at step size eta).
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
@@ -364,9 +334,7 @@ def build_pe_problem(transitions: Transitions, gamma: float,
     L = float(np.linalg.norm(G_mat, 2))
     resolvent = soft_threshold_resolvent(tau_reg, d) if tau_reg > 0 \
         else identity_resolvent()
-    inclusion = InclusionProblem(forward=op, resolvent=resolvent, lipschitz=L)
-    return PeProblem(transitions=transitions, gamma=gamma, tau_reg=tau_reg,
-                     G_mat=G_mat, g_vec=g_vec, inclusion=inclusion)
+    return InclusionProblem(forward=op, resolvent=resolvent, lipschitz=L)
 
 
 # ---------------------------------------------------------------------------

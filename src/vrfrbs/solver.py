@@ -84,23 +84,12 @@ class ConditionCheck:
         return self.lhs >= self.rhs
 
 
-@dataclass
-class ValidationReport:
-    """Per-condition pass/fail with both sides of each condition.  Advisory
-    only: the benchmark settings deliberately exceed these thresholds."""
-
-    checks: List[ConditionCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def validate_rates(card: TheoryCard, L: float, eta: float) -> ValidationReport:
-    """Check the step size and the variance condition for a theory card.
-
-    Never blocks a run; callers decide what to do with a failed check.
-    """
+def validate_rates(card: TheoryCard, L: float,
+                   eta: float) -> List[ConditionCheck]:
+    """Check the step size and the variance condition for a theory card:
+    one ConditionCheck per condition, with both sides.  Advisory only (the
+    benchmark settings deliberately exceed these thresholds): never blocks
+    a run; callers decide what to do with a failed check."""
     checks = []
     if card.biased:
         checks.append(ConditionCheck(
@@ -115,7 +104,7 @@ def validate_rates(card: TheoryCard, L: float, eta: float) -> ValidationReport:
         checks.append(ConditionCheck(
             "kappa L^2 >= Theta + Theta_hat",
             card.kappa * L * L, card.theta + card.theta_hat))
-    return ValidationReport(checks)
+    return checks
 
 
 @dataclass

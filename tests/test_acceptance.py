@@ -117,7 +117,7 @@ def test_deterministic_reduction_three_problems():
     """Full-batch runs equal the independent deterministic loop bit-for-bit
     over 10^3 iterations."""
     auc = build_auc_problem(gen_auc_dataset(40, 4, 0.25, 0.1, seed=3),
-                            radius=2.0).inclusion
+                            radius=2.0)
     from vrfrbs.problems import bilinear_problem
     cases = [
         ("affine-monotone", strongly_monotone_affine(8, 12, seed=5), 0.2),

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vrfrbs import problems
-from vrfrbs.core import (RowOperator, SampledOperator, apply_resolvent,
-                         eval_full)
+from vrfrbs import bench, problems
+from vrfrbs.core import (InclusionProblem, RowOperator, SampledOperator,
+                         apply_resolvent, eval_full)
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
                              gen_auc_dataset, gen_random_mdp,
@@ -13,6 +13,13 @@ from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              save_transitions, strongly_monotone_affine,
                              uniform_features)
 from vrfrbs.verification import MC_CHUNK
+
+
+def mean_map(op):
+    """(M, g) of an affine mean map G(x) = M x + g, rebuilt from op.full
+    column by column."""
+    g = op.full(np.zeros(op.dim))
+    return np.column_stack([op.full(e) - g for e in np.eye(op.dim)]), g
 
 
 # --- AUC dataset ------------------------------------------------------------
@@ -101,7 +108,7 @@ def test_auc_components_match_finite_differences():
     p = 0.5
     rng = np.random.default_rng(5)
     z = rng.standard_normal(5)
-    comps = auc.inclusion.forward.batch_components(z, np.arange(4))
+    comps = auc.forward.batch_components(z, np.arange(4))
     for i in range(4):
         numeric = _auc_numeric_component(ds.X, ds.y, p, z, i)
         assert np.allclose(comps[i], numeric, atol=1e-5), i
@@ -109,30 +116,30 @@ def test_auc_components_match_finite_differences():
 
 def test_auc_q_matrix_hand_blocks():
     ds = hand_dataset()
-    auc = build_auc_problem(ds, radius=10.0)
+    Q, q = mean_map(build_auc_problem(ds, radius=10.0).forward)
     p = 0.5
     scale = 2 * p * (1 - p)
     Xp, Xm = ds.X[:2], ds.X[2:]
     S = Xp.T @ Xp / 2 + Xm.T @ Xm / 2
     mu_p, mu_m = Xp.mean(axis=0), Xm.mean(axis=0)
-    assert np.allclose(auc.Q[:2, :2], scale * S)
-    assert np.allclose(auc.Q[:2, 2], -scale * mu_p)
-    assert np.allclose(auc.Q[:2, 3], -scale * mu_m)
-    assert np.allclose(auc.Q[:2, 4], scale * (mu_m - mu_p))
-    assert np.allclose(np.diag(auc.Q)[2:], scale)
-    assert np.allclose(auc.q[:2], scale * (mu_m - mu_p))
-    assert np.allclose(auc.q[2:], 0.0)
+    assert np.allclose(Q[:2, :2], scale * S)
+    assert np.allclose(Q[:2, 2], -scale * mu_p)
+    assert np.allclose(Q[:2, 3], -scale * mu_m)
+    assert np.allclose(Q[:2, 4], scale * (mu_m - mu_p))
+    assert np.allclose(np.diag(Q)[2:], scale)
+    assert np.allclose(q[:2], scale * (mu_m - mu_p))
+    assert np.allclose(q[2:], 0.0)
 
 
 def test_auc_full_eval_matches_assembled_form():
     ds = gen_auc_dataset(200, 6, 0.15, 0.3, seed=2)
-    auc = build_auc_problem(ds)
-    op = auc.inclusion.forward
+    op = build_auc_problem(ds).forward
+    Q, q = mean_map(op)
     rng = np.random.default_rng(7)
     for _ in range(5):
         z = rng.standard_normal(9)
         per_sample = op.batch_components(z, np.arange(200)).mean(axis=0)
-        affine = auc.Q @ z + auc.q
+        affine = Q @ z + q
         assert np.linalg.norm(per_sample - affine) <= \
             1e-8 * (1 + np.linalg.norm(affine))
         assert np.allclose(eval_full(op, z), affine)
@@ -140,17 +147,17 @@ def test_auc_full_eval_matches_assembled_form():
 
 def test_auc_eval_at_zero_is_offset():
     ds = gen_auc_dataset(100, 4, 0.2, 0.2, seed=11)
-    auc = build_auc_problem(ds)
+    op = build_auc_problem(ds).forward
     z = np.zeros(7)
-    per_sample = auc.inclusion.forward.batch_components(z, np.arange(100)).mean(axis=0)
-    assert np.allclose(per_sample, auc.q)
+    per_sample = op.batch_components(z, np.arange(100)).mean(axis=0)
+    assert np.allclose(per_sample, mean_map(op)[1])
 
 
 def test_auc_symmetric_part_psd():
     for seed in range(3):
         ds = gen_auc_dataset(300, 8, 0.1, 0.2, seed=seed)
-        auc = build_auc_problem(ds)
-        sym = 0.5 * (auc.Q + auc.Q.T)
+        Q, _ = mean_map(build_auc_problem(ds).forward)
+        sym = 0.5 * (Q + Q.T)
         assert np.linalg.eigvalsh(sym).min() >= -1e-8
 
 
@@ -167,7 +174,7 @@ def test_auc_resolvent_bounds():
     auc = build_auc_problem(ds, radius=2.0)
     kappa = ds.kappa_feat
     z = np.array([10.0, 0.0, 100.0, -100.0, 100.0])
-    out = apply_resolvent(auc.inclusion.resolvent, z)
+    out = apply_resolvent(auc.resolvent, z)
     assert np.linalg.norm(out[:2]) <= 2.0 + 1e-12
     assert abs(out[2]) <= 2.0 * kappa + 1e-12
     assert abs(out[3]) <= 2.0 * kappa + 1e-12
@@ -330,9 +337,9 @@ def test_pe_single_transition_hand_values():
     pe = build_pe_problem(trans, gamma=0.5, tau_reg=0.0)
     # A = 0.5, C = 1, b = 1: G(theta, w) = (-0.5 w, 0.5 theta + w - 1)
     x = np.array([2.0, 3.0])
-    g = pe.inclusion.forward.full(x)
+    g = pe.forward.full(x)
     assert g == pytest.approx([-1.5, 3.0])
-    comp = pe.inclusion.forward.batch_components(x, np.array([0]))[0]
+    comp = pe.forward.batch_components(x, np.array([0]))[0]
     assert comp == pytest.approx([-1.5, 3.0])
 
 
@@ -340,13 +347,13 @@ def test_pe_per_sample_mean_matches_assembled():
     mdp = gen_random_mdp(30, 3, seed=2)
     F = uniform_features(30, 6, seed=3)
     trans = sample_transitions(mdp, 100, F, seed=4)
-    pe = build_pe_problem(trans, gamma=0.95, tau_reg=1e-3)
-    op = pe.inclusion.forward
+    op = build_pe_problem(trans, gamma=0.95, tau_reg=1e-3).forward
+    G, g = mean_map(op)
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.standard_normal(12)
         per_sample = op.batch_components(x, np.arange(100)).mean(axis=0)
-        assembled = pe.G_mat @ x + pe.g_vec
+        assembled = G @ x + g
         assert np.allclose(per_sample, assembled, atol=1e-12)
 
 
@@ -354,8 +361,7 @@ def test_pe_monotone_inner_product():
     mdp = gen_random_mdp(20, 2, seed=8)
     F = uniform_features(20, 4, seed=9)
     trans = sample_transitions(mdp, 60, F, seed=10)
-    pe = build_pe_problem(trans, gamma=0.9, tau_reg=0.0)
-    op = pe.inclusion.forward
+    op = build_pe_problem(trans, gamma=0.9, tau_reg=0.0).forward
     rng = np.random.default_rng(11)
     for _ in range(50):
         x, y_ = rng.standard_normal(8), rng.standard_normal(8)
@@ -368,18 +374,18 @@ def test_pe_zero_reg_identity_resolvent():
                         phi_next=np.array([[0.0, 1.0]]), r=np.array([0.3]))
     pe = build_pe_problem(trans, gamma=0.5, tau_reg=0.0)
     z = np.array([5.0, -3.0, 2.0, 1.0])
-    assert np.array_equal(apply_resolvent(pe.inclusion.resolvent, z, 0.1), z)
+    assert np.array_equal(apply_resolvent(pe.resolvent, z, 0.1), z)
 
 
 def test_pe_feature_rescaling_lipschitz_bound():
     mdp = gen_random_mdp(15, 2, seed=12)
     F = uniform_features(15, 4, seed=13)
     trans = sample_transitions(mdp, 50, F, seed=14)
-    L1 = build_pe_problem(trans, gamma=0.9, tau_reg=0.0).inclusion.lipschitz
+    L1 = build_pe_problem(trans, gamma=0.9, tau_reg=0.0).lipschitz
     for c in (0.5, 2.0):
         scaled = Transitions(phi=c * trans.phi, phi_next=c * trans.phi_next,
                              r=trans.r)
-        Lc = build_pe_problem(scaled, gamma=0.9, tau_reg=0.0).inclusion.lipschitz
+        Lc = build_pe_problem(scaled, gamma=0.9, tau_reg=0.0).lipschitz
         lo, hi = min(c, c * c), max(c, c * c)
         # rank-one blocks scale between c (offset part) and c^2 (quadratic)
         assert lo * L1 * 0.99 <= Lc <= hi * L1 * 1.01
@@ -404,12 +410,34 @@ def test_lipschitz_is_two_norm_of_operator_mean_map(build):
     """L = ||M||_2 for the affine mean map G(x) = M x + g, with M rebuilt
     from the operator column by column and its top eigenvalue of M^T M
     taken by another LAPACK routine than the builders' norm."""
-    inclusion = build().inclusion
-    op = inclusion.forward
-    offset = op.full(np.zeros(op.dim))
-    M = np.column_stack([op.full(e) - offset for e in np.eye(op.dim)])
+    problem = build()
+    M, _ = mean_map(problem.forward)
     top = float(np.linalg.eigvalsh(M.T @ M).max())
-    assert inclusion.lipschitz ** 2 == pytest.approx(top, rel=1e-12)
+    assert problem.lipschitz ** 2 == pytest.approx(top, rel=1e-12)
+
+
+# --- the builders' contract ------------------------------------------------
+
+_BUILDS = {
+    "build_auc_problem": _small_auc,
+    "build_pe_problem": _small_pe,
+    "strongly_monotone_affine":
+        lambda: strongly_monotone_affine(dim=4, n_components=6, seed=0),
+    "linear_toy": problems.linear_toy,
+    "bilinear_problem": bilinear_problem,
+    "build_problem[auc]": lambda: bench.build_problem(
+        {"family": "auc", "n": 40, "d": 3}, 0, False),
+    "build_problem[policy-eval]": lambda: bench.build_problem(
+        {"family": "policy-eval", "states": 5, "actions": 2,
+         "transitions": 20, "features": 3}, 0, False),
+    "build_problem[affine-toy]": lambda: bench.build_problem(
+        {"family": "affine-toy", "dim": 4, "components": 6}, 0, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILDS))
+def test_every_builder_returns_an_inclusion_problem(name):
+    assert type(_BUILDS[name]()) is InclusionProblem
 
 
 # --- export / import --------------------------------------------------------
@@ -459,12 +487,12 @@ def test_strongly_monotone_solution_and_lipschitz():
 def _row_operator(family):
     if family == "auc":
         ds = gen_auc_dataset(40, 5, 0.2, 0.3, seed=6)
-        return build_auc_problem(ds).inclusion.forward
+        return build_auc_problem(ds).forward
     if family == "pe":
         mdp = gen_random_mdp(10, 2, seed=5)
         trans = sample_transitions(mdp, 30, uniform_features(10, 4, seed=6),
                                    seed=7)
-        return build_pe_problem(trans, gamma=0.9, tau_reg=0.0).inclusion.forward
+        return build_pe_problem(trans, gamma=0.9, tau_reg=0.0).forward
     return strongly_monotone_affine(dim=8, n_components=30, seed=3).forward
 
 
@@ -490,13 +518,13 @@ def _row_operator_and_blocks(family):
     order of op.blocks (None for a block without rows)."""
     if family == "auc":
         ds = gen_auc_dataset(40, 5, 0.2, 0.3, seed=6)
-        op = build_auc_problem(ds).inclusion.forward
+        op = build_auc_problem(ds).forward
         return op, (ds.X.copy(), None, None, None)
     if family in ("pe", "pe-desk"):
         S, A, n, d = (10, 2, 30, 4) if family == "pe" else (100, 10, 2000, 21)
         trans = sample_transitions(gen_random_mdp(S, A, seed=5), n,
                                    uniform_features(S, d, seed=6), seed=7)
-        op = build_pe_problem(trans, gamma=0.95, tau_reg=0.0).inclusion.forward
+        op = build_pe_problem(trans, gamma=0.95, tau_reg=0.0).forward
         psi = trans.phi - 0.95 * trans.phi_next
         return op, (psi, trans.phi.copy())
     op = strongly_monotone_affine(dim=8, n_components=30, seed=3).forward
@@ -668,9 +696,8 @@ def test_pe_antisymmetric_part_is_coupling_block():
     mdp = gen_random_mdp(15, 3, seed=20)
     trans = sample_transitions(mdp, 40, uniform_features(15, 5, seed=21),
                                seed=22)
-    pe = build_pe_problem(trans, gamma=0.9, tau_reg=0.0)
-    d = pe.d
-    G = pe.G_mat
+    d = trans.d
+    G, _ = mean_map(build_pe_problem(trans, gamma=0.9, tau_reg=0.0).forward)
     sym = 0.5 * (G + G.T)
     anti = 0.5 * (G - G.T)
     # symmetric part lives entirely in the w-block (PSD C-hat)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from vrfrbs.core import InfeasibleParametersError
+from vrfrbs.core import InfeasibleParametersError, UnsupportedConfigError
 from vrfrbs.estimators import (EstimatorParams, default_params,
                                sizing_rule_sides, theory_card)
 from vrfrbs.solver import theory_stepsize, validate_rates
@@ -40,7 +40,7 @@ def test_card_full_batch_trivial():
     card = theory_card("full", EstimatorParams(), L=2.0)
     assert (card.tau, card.kappa, card.theta, card.theta_hat) == (1, 1, 0, 0)
     assert not card.biased
-    assert validate_rates(card, 2.0, 0.1).ok
+    assert all(c.passed for c in validate_rates(card, 2.0, 0.1))
 
 
 def test_card_sgd_constants():
@@ -69,6 +69,13 @@ def test_card_saga_constants():
     assert card.kappa == pytest.approx(b / (2 * n))
     assert card.theta == pytest.approx(16 * L * L * n / b ** 2)
     assert card.theta_hat == pytest.approx(4 * L * L * n / b ** 2)
+
+
+def test_saga_card_and_sizing_rule_need_n():
+    with pytest.raises(ValueError, match="saga theory card needs n"):
+        theory_card("saga", EstimatorParams(b=4), L=1.0)
+    with pytest.raises(ValueError, match="saga sizing rule needs n"):
+        sizing_rule_sides("saga", EstimatorParams(b=4), 1.0)
 
 
 def test_card_sarah_constants():
@@ -111,7 +118,7 @@ def test_card_hsvrg_underflowing_p_squared_is_an_infinite_bound(p):
     card = theory_card("hsvrg", EstimatorParams(b=1, p_switch=p, omega=0.5),
                        L=1.0)
     assert card.theta == math.inf and card.theta_hat == math.inf
-    cond = [c for c in validate_rates(card, 1.0, 0.05).checks
+    cond = [c for c in validate_rates(card, 1.0, 0.05)
             if "kappa" in c.name][0]
     assert not cond.passed
 
@@ -131,8 +138,8 @@ def test_validate_saga_at_ceiled_theory_batch():
     n, L = 64, 1.3
     b = math.ceil(40.0 ** (1 / 3) * n ** (2 / 3))
     card = theory_card("saga", EstimatorParams(b=b), L=L, n=n)
-    report = validate_rates(card, L, eta=0.1 / L)
-    cond = [c for c in report.checks if "kappa" in c.name][0]
+    checks = validate_rates(card, L, eta=0.1 / L)
+    cond = [c for c in checks if "kappa" in c.name][0]
     assert cond.passed
 
 
@@ -166,8 +173,8 @@ def test_validate_biased_condition_uses_lemma_constants():
     L, p = 1.0, 0.2
     b = 110.0 / p ** 3
     card = theory_card("sarah", EstimatorParams(b=b, p_switch=p), L=L)
-    report = validate_rates(card, L, eta=0.05)
-    cond = [c for c in report.checks if "tau" in c.name][0]
+    checks = validate_rates(card, L, eta=0.05)
+    cond = [c for c in checks if "tau" in c.name][0]
     assert cond.lhs > cond.rhs
 
 
@@ -212,8 +219,9 @@ def test_default_theory_satisfies_conditions_when_unclamped():
         params = default_params(kind, n=n, profile="theory")
         assert params.b < n, kind
         card = theory_card(kind, params, L=L, n=n)
-        assert validate_rates(card, L, 0.9 * theory_stepsize(
-            L, estimator_class="biased" if card.biased else "unbiased")).ok, kind
+        eta = 0.9 * theory_stepsize(
+            L, estimator_class="biased" if card.biased else "unbiased")
+        assert all(c.passed for c in validate_rates(card, L, eta)), kind
 
 
 def test_default_expectation_setting_needs_epsilon():
@@ -222,3 +230,11 @@ def test_default_expectation_setting_needs_epsilon():
     params = default_params("svrg", setting="E", epsilon=0.1, profile="theory")
     assert params.mega_batch == 100
     assert params.p_switch == pytest.approx(0.1 ** (2 / 3))
+
+
+def test_default_saga_theory_on_an_oracle_is_unsupported():
+    """saga keeps a table of n rows, so no oracle-setting size exists; the
+    refusal is check_params's."""
+    with pytest.raises(UnsupportedConfigError,
+                       match="saga needs a finite-sum operator"):
+        default_params("saga", setting="E", epsilon=0.1, profile="theory")
