@@ -4,7 +4,6 @@ Subcommands:
     run        execute an experiment matrix from a JSON config
     summarize  aggregate a run directory's runs.csv
     verify     Monte-Carlo certification of one estimator kind
-    gen-data   write a synthetic dataset in the columnar text format
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical divergence.
@@ -19,9 +18,7 @@ import sys
 from .bench import ConfigError, run_experiment, summarize
 from .core import InfeasibleParametersError, UnsupportedConfigError
 from .estimators import (BIASED_KINDS, KINDS, UNBIASED_KINDS, default_params)
-from .problems import (gen_auc_dataset, gen_random_mdp, linear_toy,
-                       sample_transitions, save_auc_dataset, save_transitions,
-                       uniform_features)
+from .problems import linear_toy
 from .solver import DivergenceError
 from .verification import (build_history, check_bias_recursion,
                            check_unbiased, check_variance_recursion)
@@ -85,29 +82,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 
 
-def _cmd_gen_data(args) -> int:
-    try:
-        if args.family == "auc":
-            ds = gen_auc_dataset(args.n, args.d, args.p_pos, args.noise_sigma,
-                                 seed=args.seed)
-            save_auc_dataset(ds, args.out)
-            print(f"wrote {ds.n} samples ({ds.d} features) to {args.out}")
-        else:
-            mdp = gen_random_mdp(args.states, args.actions, seed=args.seed,
-                                 gamma=args.gamma)
-            feats = uniform_features(args.states, args.features,
-                                     seed=(args.seed, 1))
-            trans = sample_transitions(mdp, args.transitions, feats,
-                                       seed=(args.seed, 2))
-            save_transitions(trans, args.out)
-            print(f"wrote {trans.n} transitions ({trans.d} features) "
-                  f"to {args.out}")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vrfrbs",
@@ -130,21 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset")
-    p_gen.add_argument("--family", required=True, choices=("auc", "mdp"))
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--n", type=int, default=1000)
-    p_gen.add_argument("--d", type=int, default=20)
-    p_gen.add_argument("--p-pos", dest="p_pos", type=float, default=0.1)
-    p_gen.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                       default=0.1)
-    p_gen.add_argument("--states", type=int, default=100)
-    p_gen.add_argument("--actions", type=int, default=10)
-    p_gen.add_argument("--transitions", type=int, default=2000)
-    p_gen.add_argument("--features", type=int, default=21)
-    p_gen.add_argument("--gamma", type=float, default=0.95)
-    p_gen.set_defaults(func=_cmd_gen_data)
     return parser
 
 

@@ -156,6 +156,16 @@ _DRAW_CHUNK = 4096
 _NOTHING_AHEAD = np.empty(0, dtype=np.int64)
 
 
+def _check_rates(kind: str, params: EstimatorParams) -> None:
+    """p_switch and omega, for the kinds that read them, are in (0, 1]."""
+    for name in ("p_switch",) * (kind in _NEEDS_SWITCH) \
+            + ("omega",) * (kind in _NEEDS_OMEGA):
+        value = getattr(params, name)
+        if value is None or not 0.0 < value <= 1.0:
+            raise ValueError(f"{name} = {value!r} must be in (0, 1] "
+                             f"for {kind}")
+
+
 def check_params(kind: str, params: EstimatorParams,
                  n: Optional[int]) -> None:
     """The one check of estimator parameters, on a finite sum of `n`
@@ -169,12 +179,7 @@ def check_params(kind: str, params: EstimatorParams,
         raise ValueError(f"b = {b!r} must be >= 1")
     if n is not None and b > n:
         raise ValueError(f"b = {b!r} must be <= n = {n}")
-    for name in ("p_switch",) * (kind in _NEEDS_SWITCH) \
-            + ("omega",) * (kind in _NEEDS_OMEGA):
-        value = getattr(params, name)
-        if value is None or not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} = {value!r} must be in (0, 1] "
-                             f"for {kind}")
+    _check_rates(kind, params)
     if kind == SAGA and n is None:
         raise UnsupportedConfigError(
             "saga needs a finite-sum operator (no table for oracles)")
@@ -581,19 +586,15 @@ def make_estimator(kind: str, params: EstimatorParams,
         st.table = np.array(rows, dtype=float)
         st.table_mean = st.table.mean(axis=0)
         st.s_tilde = st.table_mean.copy()
-    elif kind in (SVRG, HSVRG):
-        st.snapshot = x0.copy()
-        st.snapshot_tag = 0
-        st.anchor_value = ev.full(x0) if exact \
-            else ev.mean(x0, _draw_batch(st, params.mega_batch))
-        st.s_tilde = st.anchor_value.copy()
     elif kind == SGD:
         b0 = _sgd_batch_size(st, x0, x0, x0)
         st.s_tilde = ev.mean(x0, _draw_batch(st, b0))
-    elif kind == FULL or exact:  # full, exact sarah and hsgd
-        st.s_tilde = ev.full(x0, tag=0)
-    else:  # mega-batch sarah and hsgd
-        st.s_tilde = ev.mean(x0, _draw_batch(st, params.mega_batch))
+    else:  # G(x0) exactly or from a mega-batch sample
+        st.s_tilde = ev.full(x0, tag=0) if kind == FULL or exact \
+            else ev.mean(x0, _draw_batch(st, params.mega_batch))
+        if kind in (SVRG, HSVRG):
+            st.snapshot, st.snapshot_tag = x0.copy(), 0
+            st.anchor_value = st.s_tilde.copy()
 
     st.counter.add(ev.calls)
     st.init_calls = ev.calls
@@ -633,6 +634,7 @@ def theory_card(kind: str, params: EstimatorParams, L: float,
     Mega-batch anchors use the balance weight mu = 1 in their constants.
     delta_k formulas rely on params.sigma2 (0 when no bound is supplied).
     """
+    _check_rates(kind, params)
     L2 = L * L
     b = params.b
     s2 = params.sigma2
@@ -715,6 +717,7 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
     factors dropped).  lhs >= rhs means the sized parameters are admissible;
     the rule is exactly tight at the published batch choices.
     """
+    _check_rates(kind, params)
     L2 = L * L
     b = params.b
     if kind == FULL:
@@ -801,6 +804,8 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
     if profile != "theory":
         raise ValueError("profile must be 'experiment' or 'theory'")
 
+    if kind in (FULL, SAGA):  # neither runs on an oracle
+        check_params(kind, EstimatorParams(), n)
     if kind == FULL:
         return EstimatorParams()
     if kind == SGD:
@@ -815,7 +820,6 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
         return EstimatorParams(b=clamp(80.0 / p ** 2), p_switch=p,
                                mega_batch=int(math.ceil(epsilon ** -2)))
     if kind == SAGA:
-        check_params(SAGA, EstimatorParams(), n)  # no table on an oracle
         return EstimatorParams(b=clamp(40.0 ** (1.0 / 3.0) * n ** (2.0 / 3.0)))
     if kind == SARAH:
         if setting == "F":

@@ -434,29 +434,3 @@ def strongly_monotone_affine(dim: int, n_components: int, seed,
                      common=lambda x: mu * x)
     return InclusionProblem(forward=op, resolvent=identity_resolvent(),
                             lipschitz=L, known_solution=solution)
-
-
-# ---------------------------------------------------------------------------
-# Columnar text export (exact decimal round-trip at 17 significant digits)
-# ---------------------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def save_auc_dataset(dataset: AucDataset, path) -> None:
-    """One sample per line: d feature floats then the label."""
-    with open(path, "w", newline="\n") as fh:
-        for row, label in zip(dataset.X, dataset.y):
-            fh.write(" ".join(_fmt(v) for v in row))
-            fh.write(f" {_fmt(label)}\n")
-
-
-def save_transitions(transitions: Transitions, path) -> None:
-    """One transition per line: phi (d floats), phi' (d floats), reward."""
-    with open(path, "w", newline="\n") as fh:
-        for ph, ph2, rw in zip(transitions.phi, transitions.phi_next,
-                               transitions.r):
-            parts = [_fmt(v) for v in ph] + [_fmt(v) for v in ph2] + [_fmt(rw)]
-            fh.write(" ".join(parts) + "\n")
-

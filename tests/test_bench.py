@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrfrbs
-from vrfrbs import bench
+from vrfrbs import bench, cli
 from vrfrbs.bench import (CSV_HEADER, ConfigError, load_config, read_runs_csv,
                           resolve_eta, run_experiment, summarize)
 from vrfrbs.cli import main as cli_main
@@ -579,19 +580,17 @@ def test_cli_run_tiny_record_cadence_terminates(tmp_path):
     assert iters == list(range(len(iters))) and len(iters) > 2
 
 
-def test_cli_gen_data_roundtrip(tmp_path):
-    out = tmp_path / "auc.txt"
-    assert cli_main(["gen-data", "--family", "auc", "--out", str(out),
-                     "--n", "30", "--d", "4", "--seed", "2"]) == 0
-    data = np.loadtxt(out, ndmin=2)
-    assert data.shape == (30, 4 + 1)
-    assert np.all(np.isin(data[:, -1], (-1.0, 1.0)))
-    out2 = tmp_path / "mdp.txt"
-    assert cli_main(["gen-data", "--family", "mdp", "--out", str(out2),
-                     "--states", "8", "--actions", "2", "--transitions", "25",
-                     "--features", "4"]) == 0
-    data = np.loadtxt(out2, ndmin=2)
-    assert data.shape == (25, 2 * 4 + 1)
+def test_cli_subcommands_are_the_documented_three():
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["run", "summarize", "verify"]
+    block = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]
+    assert sorted(line.split()[0] for line in block.splitlines()) \
+        == sorted(sub.choices)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen-data", "--family", "auc", "--out", "auc.txt"])
+    assert exc.value.code == 2
 
 
 _IMPORT_GUARD = """

@@ -9,8 +9,7 @@ from vrfrbs.core import (InclusionProblem, RowOperator, SampledOperator,
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
                              gen_auc_dataset, gen_random_mdp,
-                             sample_transitions, save_auc_dataset,
-                             save_transitions, strongly_monotone_affine,
+                             sample_transitions, strongly_monotone_affine,
                              uniform_features)
 from vrfrbs.verification import MC_CHUNK
 
@@ -438,30 +437,6 @@ _BUILDS = {
 @pytest.mark.parametrize("name", list(_BUILDS))
 def test_every_builder_returns_an_inclusion_problem(name):
     assert type(_BUILDS[name]()) is InclusionProblem
-
-
-# --- export / import --------------------------------------------------------
-
-def test_auc_dataset_roundtrip(tmp_path):
-    ds = gen_auc_dataset(20, 3, 0.2, 0.4, seed=5)
-    path = tmp_path / "auc.txt"
-    save_auc_dataset(ds, path)
-    back = np.loadtxt(path, ndmin=2)
-    assert back.shape == (20, 4)
-    assert np.array_equal(back[:, :-1], ds.X)
-    assert np.array_equal(back[:, -1], ds.y)
-
-
-def test_transitions_roundtrip(tmp_path):
-    mdp = gen_random_mdp(6, 2, seed=6)
-    trans = sample_transitions(mdp, 9, uniform_features(6, 3, seed=7), seed=8)
-    path = tmp_path / "trans.txt"
-    save_transitions(trans, path)
-    back = np.loadtxt(path, ndmin=2)
-    assert back.shape == (9, 7)
-    assert np.array_equal(back[:, :3], trans.phi)
-    assert np.array_equal(back[:, 3:6], trans.phi_next)
-    assert np.array_equal(back[:, 6], trans.r)
 
 
 # --- synthetic problems ------------------------------------------------------

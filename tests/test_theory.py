@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -238,3 +239,32 @@ def test_default_saga_theory_on_an_oracle_is_unsupported():
     with pytest.raises(UnsupportedConfigError,
                        match="saga needs a finite-sum operator"):
         default_params("saga", setting="E", epsilon=0.1, profile="theory")
+
+
+def _contract_calls():
+    """Calls that must fail with check_params's error: theory_card and
+    sizing_rule_sides for each kind missing a rate it reads, and the theory
+    profile of a kind that needs a finite sum on an oracle."""
+    for fn in (theory_card, sizing_rule_sides):
+        for kind, name in (("svrg", "p_switch"), ("sarah", "p_switch"),
+                           ("hsvrg", "p_switch"), ("hsgd", "omega"),
+                           ("hsvrg", "omega")):
+            other = "omega" if name == "p_switch" else "p_switch"
+            params = EstimatorParams(b=4, **{other: 0.5})
+            yield pytest.param(
+                lambda fn=fn, kind=kind, params=params: fn(kind, params, 1.0),
+                ValueError, f"{name} = None must be in (0, 1] for {kind}",
+                id=f"{fn.__name__}-{kind}-{name}")
+    for kind in ("full", "saga"):
+        yield pytest.param(
+            lambda kind=kind: default_params(kind, setting="E",
+                                             profile="theory", epsilon=0.1),
+            UnsupportedConfigError, f"{kind} needs a finite-sum operator",
+            id=f"default_params-{kind}")
+
+
+@pytest.mark.parametrize("call, error, message", list(_contract_calls()))
+def test_contract_errors_are_check_params_errors(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as exc:
+        call()
+    assert type(exc.value) is error
