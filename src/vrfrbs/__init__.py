@@ -4,10 +4,9 @@ verification suite for the estimator contracts."""
 
 __version__ = "0.1.0"
 
-from .core import (CallCounter, InclusionProblem, InfeasibleParametersError,
-                   Resolvent, RowOperator, SampledOperator,
-                   UnsupportedConfigError, apply_resolvent,
-                   ball_box_resolvent, eval_full, fb_residual,
+from .core import (InclusionProblem, InfeasibleParametersError, Resolvent,
+                   RowOperator, SampledOperator, UnsupportedConfigError,
+                   apply_resolvent, ball_box_resolvent, fb_residual,
                    identity_resolvent, soft_threshold_resolvent)
 from .estimators import (BIASED_KINDS, KINDS, UNBIASED_KINDS, EstimatorParams,
                          EstimatorState, TheoryCard, default_params,
@@ -18,11 +17,11 @@ from .solver import (DivergenceError, RunTrace, SolverConfig, run,
 
 __all__ = [
     "__version__",
-    "CallCounter", "SampledOperator", "RowOperator",
+    "SampledOperator", "RowOperator",
     "InclusionProblem", "Resolvent", "UnsupportedConfigError",
     "InfeasibleParametersError", "apply_resolvent", "ball_box_resolvent",
     "identity_resolvent", "soft_threshold_resolvent",
-    "eval_full", "fb_residual",
+    "fb_residual",
     "KINDS", "UNBIASED_KINDS", "BIASED_KINDS", "EstimatorParams",
     "EstimatorState", "TheoryCard", "make_estimator", "estimator_step",
     "theory_card", "default_params", "sizing_rule_sides",

@@ -6,7 +6,8 @@ or through a sampling oracle E_xi[G(x, xi)], and T is a possibly multivalued
 operator accessed only through its resolvent J(z) = (I + eta*T)^{-1}(z).
 
 Operators and resolvents are immutable after construction and safe to share
-between concurrent runs; evaluation counters are owned by the caller.
+between concurrent runs.  Nothing here charges oracle calls: the estimators
+charge every evaluation they make, and the residual diagnostic is free.
 """
 
 from __future__ import annotations
@@ -25,16 +26,6 @@ class UnsupportedConfigError(ValueError):
 class InfeasibleParametersError(ValueError):
     """Step-size feasibility violated (the weak-Minty radius is too large
     relative to the Lipschitz constant)."""
-
-
-@dataclass
-class CallCounter:
-    """Counts component/oracle evaluations.  One counter per run."""
-
-    count: int = 0
-
-    def add(self, k: int) -> None:
-        self.count += int(k)
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +254,6 @@ class RowOperator:
 ForwardOperator = Union[SampledOperator, RowOperator]
 
 
-def eval_full(op: ForwardOperator, x: np.ndarray,
-              counter: Optional[CallCounter] = None) -> np.ndarray:
-    """Exact mean (1/n) sum_i G_i(x).
-
-    Charges n component evaluations to `counter` when one is passed; without
-    a counter the evaluation is free (closed-form diagnostics).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (op.dim,):
-        raise ValueError(f"dimension mismatch: expected ({op.dim},), got {x.shape}")
-    value = op.full(x)
-    if counter is not None and op.n is not None:
-        counter.add(op.n)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Resolvents
 # ---------------------------------------------------------------------------
@@ -386,13 +361,12 @@ class InclusionProblem:
         return self.forward.n
 
 
-def fb_residual(problem: InclusionProblem, eta: float, x: np.ndarray,
-                counter: Optional[CallCounter] = None):
+def fb_residual(problem: InclusionProblem, eta: float, x: np.ndarray):
     """Forward-backward residual r = (x - J(x - eta*G(x))) / eta.
 
     x solves the inclusion iff r = 0, which makes ||r|| the convergence
-    certificate reported by all runs.  Uses the exact full-batch G, charged
-    n to `counter` when one is passed and unmetered otherwise.
+    certificate reported by all runs.  Uses the exact full-batch G, which
+    is a diagnostic and charged to no run.
 
     Returns:
         (r, ||r||)
@@ -400,6 +374,9 @@ def fb_residual(problem: InclusionProblem, eta: float, x: np.ndarray,
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
-    gx = eval_full(problem.forward, x, counter=counter)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"dimension mismatch: expected ({problem.dim},), "
+                         f"got {x.shape}")
+    gx = problem.forward.full(x)
     r = (x - apply_resolvent(problem.resolvent, x - eta * gx, eta)) / eta
     return r, float(np.linalg.norm(r))

@@ -32,12 +32,12 @@ by the step-size validators in `solver`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import CallCounter, InclusionProblem, UnsupportedConfigError
+from .core import InclusionProblem, UnsupportedConfigError
 
 FULL = "full"
 SGD = "sgd"
@@ -107,7 +107,9 @@ class TheoryCard:
 
 @dataclass
 class EstimatorState:
-    """Mutable per-run state; exclusively owned by a single run."""
+    """Mutable per-run state; exclusively owned by a single run.  `calls`
+    is the run's oracle-call count: every evaluation the estimator makes
+    is charged to it, and nothing else is."""
 
     kind: str
     params: EstimatorParams
@@ -116,7 +118,7 @@ class EstimatorState:
     rng: np.random.Generator
     k: int = 0
     s_tilde: Optional[np.ndarray] = None
-    counter: CallCounter = field(default_factory=CallCounter)
+    calls: int = 0
     init_calls: int = 0
     # svrg-style snapshot (svrg, hsvrg)
     snapshot: Optional[np.ndarray] = None
@@ -132,16 +134,12 @@ class EstimatorState:
     # `_draw_batch`); None for the kinds that draw per step
     ahead: Optional[np.ndarray] = None
 
-    @property
-    def calls(self) -> int:
-        return self.counter.count
-
     def clone(self, rng: np.random.Generator) -> "EstimatorState":
         """Independent copy with its own RNG stream (Monte-Carlo trials).
         A step rebinds every array it changes except the saga table, which
         it writes in place, so only the table is copied."""
         return replace(
-            self, rng=rng, counter=CallCounter(self.counter.count),
+            self, rng=rng,
             table=None if self.table is None else self.table.copy(),
             # the clone draws from its own generator
             ahead=None if self.ahead is None else _NOTHING_AHEAD)
@@ -157,7 +155,10 @@ _NOTHING_AHEAD = np.empty(0, dtype=np.int64)
 
 
 def _check_rates(kind: str, params: EstimatorParams) -> None:
-    """p_switch and omega, for the kinds that read them, are in (0, 1]."""
+    """b > 0 for every kind but full (the theory formulas divide by it), and
+    p_switch and omega, for the kinds that read them, are in (0, 1]."""
+    if kind != FULL and not params.b > 0:
+        raise ValueError(f"b = {params.b!r} must be > 0 for {kind}")
     for name in ("p_switch",) * (kind in _NEEDS_SWITCH) \
             + ("omega",) * (kind in _NEEDS_OMEGA):
         value = getattr(params, name)
@@ -596,8 +597,7 @@ def make_estimator(kind: str, params: EstimatorParams,
             st.snapshot, st.snapshot_tag = x0.copy(), 0
             st.anchor_value = st.s_tilde.copy()
 
-    st.counter.add(ev.calls)
-    st.init_calls = ev.calls
+    st.calls = st.init_calls = ev.calls
     return st
 
 
@@ -615,7 +615,7 @@ def estimator_step(state: EstimatorState, x_k, x_km1, x_km2):
     draws = _make_draws(state, x_k, x_km1, x_km2)
     value, calls = _apply_step(state, x_k, x_km1, x_km2, draws)
     state.s_tilde = value
-    state.counter.add(calls)
+    state.calls += calls
     return value, calls
 
 

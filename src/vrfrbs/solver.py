@@ -115,7 +115,8 @@ class SolverConfig:
     records whenever the cumulative evaluation count crosses the next
     multiple (the harness uses this for epoch-based cadence).  stop_tol = 0
     disables early stopping.  max_calls stops the loop once the estimator's
-    counter reaches the budget (the iteration in flight completes).
+    calls reach the budget (the iteration in flight completes).  Recorded
+    residuals are charged to no run.
     """
 
     eta: float
@@ -124,7 +125,6 @@ class SolverConfig:
     record_every: int = 1
     record_calls: Optional[float] = None
     stop_tol: float = 0.0
-    meter_residuals: bool = False
     max_calls: Optional[int] = None
 
 
@@ -163,8 +163,6 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
         raise ValueError("estimator state was already advanced; make a fresh one")
 
     eta = config.eta
-    counter = estimator.counter
-    res_counter = counter if config.meter_residuals else None
     reservoir_rng = np.random.default_rng(
         np.random.SeedSequence([0x5E1EC7, config.seed]))
 
@@ -177,23 +175,22 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
     t0 = time.perf_counter()
 
     def residual_at(point):
-        _, nrm = fb_residual(problem, eta, point, counter=res_counter)
-        return nrm
+        return fb_residual(problem, eta, point)[1]
 
     records: List[TraceRecord] = []
     abs0 = residual_at(x)
     rel0 = 0.0 if abs0 == 0.0 else 1.0
-    records.append(TraceRecord(0, counter.count, abs0, rel0, 0.0))
+    records.append(TraceRecord(0, estimator.calls, abs0, rel0, 0.0))
     next_call_mark = None
     if config.record_calls is not None:
-        next_call_mark = counter.count + config.record_calls
+        next_call_mark = estimator.calls + config.record_calls
 
     iterations = 0
     for k in range(config.max_iters):
         x_next = apply_resolvent(problem.resolvent, x - eta * s_tilde, eta)
         # a nan or inf entry makes the norm nan or inf: one test for both
         if not math.sqrt(x_next @ x_next) <= DIVERGENCE_NORM:
-            trace = RunTrace(records, x, reservoir, iterations, counter.count)
+            trace = RunTrace(records, x, reservoir, iterations, estimator.calls)
             raise DivergenceError(
                 f"divergence at iteration {k + 1}", trace=trace)
         iterations = k + 1
@@ -203,28 +200,28 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
             reservoir = x.copy()
 
         due = iterations % config.record_every == 0
-        if next_call_mark is not None and counter.count >= next_call_mark:
+        if next_call_mark is not None and estimator.calls >= next_call_mark:
             due = True
         stopping = False
         if due:
             a = residual_at(x)
             rel = 0.0 if abs0 == 0.0 else a / abs0
             wall = (time.perf_counter() - t0) * 1e3
-            records.append(TraceRecord(iterations, counter.count, a, rel, wall))
-            if next_call_mark is not None and counter.count >= next_call_mark:
+            records.append(TraceRecord(iterations, estimator.calls, a, rel, wall))
+            if next_call_mark is not None and estimator.calls >= next_call_mark:
                 # pass every crossed mark at once: adding a record_calls
                 # below the mark's float spacing would never pass one.  The
                 # cap holds if the quotient overflows to inf.
-                crossed = (counter.count - next_call_mark) \
+                crossed = (estimator.calls - next_call_mark) \
                     // config.record_calls + 1
                 next_call_mark = min(
                     next_call_mark + crossed * config.record_calls,
-                    counter.count + config.record_calls)
+                    estimator.calls + config.record_calls)
             if config.stop_tol > 0.0 and rel <= config.stop_tol:
                 stopping = True
         if stopping or iterations >= config.max_iters:
             break
-        if config.max_calls is not None and counter.count >= config.max_calls:
+        if config.max_calls is not None and estimator.calls >= config.max_calls:
             break
         s_tilde, _ = estimator_step(estimator, x, x1, x2)
 
@@ -232,6 +229,6 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
         a = residual_at(x)
         rel = 0.0 if abs0 == 0.0 else a / abs0
         wall = (time.perf_counter() - t0) * 1e3
-        records.append(TraceRecord(iterations, counter.count, a, rel, wall))
+        records.append(TraceRecord(iterations, estimator.calls, a, rel, wall))
 
-    return RunTrace(records, x.copy(), reservoir, iterations, counter.count)
+    return RunTrace(records, x.copy(), reservoir, iterations, estimator.calls)

@@ -290,27 +290,19 @@ def test_infrastructure_reproducibility(tmp_path):
     byte_ok = all((out1 / f).read_bytes() == (out2 / f).read_bytes()
                   for f in ("runs.csv", "summary.csv", "manifest.json"))
 
-    # epoch * n equals the instrumented component-evaluation count: with
-    # metered residuals every evaluation flows through the run counter
-    base = linear_toy(n=9, dim=3, seed=2)
-    prob, wrapped = instrumented_problem(base)
+    # epoch * n accounts for the instrumented component-evaluation count:
+    # estimator calls plus one unmetered full evaluation per recorded
+    # residual are everything observed
+    prob, wrapped = instrumented_problem(linear_toy(n=9, dim=3, seed=2))
     est = make_estimator("svrg", EstimatorParams(b=3, p_switch=0.4), prob,
                          np.ones(3), seed=6)
     trace = run(prob, est, SolverConfig(eta=0.05, max_iters=200,
-                                        record_every=7, meter_residuals=True))
-    count_ok = trace.oracle_calls == wrapped.observed
-    # unmetered (default) diagnostics: estimator calls plus one full
-    # evaluation per recorded residual account for everything observed
-    prob2, wrapped2 = instrumented_problem(base)
-    est2 = make_estimator("svrg", EstimatorParams(b=3, p_switch=0.4), prob2,
-                          np.ones(3), seed=6)
-    trace2 = run(prob2, est2, SolverConfig(eta=0.05, max_iters=200,
-                                           record_every=7))
-    count_ok &= trace2.oracle_calls + 9 * len(trace2.records) == wrapped2.observed
+                                        record_every=7))
+    count_ok = trace.oracle_calls + 9 * len(trace.records) == wrapped.observed
     epochs_ok = all(
         float(format(r.oracle_calls / 9, ".17g")) * 9
         == pytest.approx(r.oracle_calls, abs=1e-6)
-        for r in trace2.records)
+        for r in trace.records)
 
     # nonexpansiveness: 1000 random pairs per resolvent kind
     rng = np.random.default_rng(0)

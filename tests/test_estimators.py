@@ -291,6 +291,23 @@ def test_clone_starts_with_nothing_drawn_ahead():
     assert len(twin.ahead) == estimators._DRAW_CHUNK - 5
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_clones_steps_charge_only_the_clone(kind):
+    prob = linear_toy(n=8, dim=3, seed=1)
+    st_ = make_estimator(kind, params_for(kind, 8, b=3), prob, np.zeros(3),
+                         seed=0)
+    x = np.ones(3)
+    estimator_step(st_, x, np.zeros(3), np.zeros(3))
+    calls, init_calls = st_.calls, st_.init_calls
+    twin = st_.clone(np.random.default_rng(9))
+    assert twin.calls == calls
+    for _ in range(3):
+        before = twin.calls
+        _, charged = estimator_step(twin, 2.0 * x, x, np.zeros(3))
+        assert charged > 0 and twin.calls == before + charged
+    assert (st_.calls, st_.init_calls) == (calls, init_calls)
+
+
 def test_saga_running_mean_stays_synced():
     prob = components_only_problem(n=8)
     rng = np.random.default_rng(3)

@@ -5,7 +5,7 @@ import pytest
 
 from vrfrbs import bench, problems
 from vrfrbs.core import (InclusionProblem, RowOperator, SampledOperator,
-                         apply_resolvent, eval_full)
+                         apply_resolvent)
 from vrfrbs.problems import (AucDataset, Transitions, bilinear_problem,
                              build_auc_problem, build_pe_problem,
                              gen_auc_dataset, gen_random_mdp,
@@ -141,7 +141,7 @@ def test_auc_full_eval_matches_assembled_form():
         affine = Q @ z + q
         assert np.linalg.norm(per_sample - affine) <= \
             1e-8 * (1 + np.linalg.norm(affine))
-        assert np.allclose(eval_full(op, z), affine)
+        assert np.allclose(op.full(z), affine)
 
 
 def test_auc_eval_at_zero_is_offset():

@@ -243,8 +243,9 @@ def test_default_saga_theory_on_an_oracle_is_unsupported():
 
 def _contract_calls():
     """Calls that must fail with check_params's error: theory_card and
-    sizing_rule_sides for each kind missing a rate it reads, and the theory
-    profile of a kind that needs a finite sum on an oracle."""
+    sizing_rule_sides for each kind missing a rate it reads or given b = 0
+    (the rate check check_params shares with them), and the theory profile
+    of a kind that needs a finite sum on an oracle."""
     for fn in (theory_card, sizing_rule_sides):
         for kind, name in (("svrg", "p_switch"), ("sarah", "p_switch"),
                            ("hsvrg", "p_switch"), ("hsgd", "omega"),
@@ -255,6 +256,13 @@ def _contract_calls():
                 lambda fn=fn, kind=kind, params=params: fn(kind, params, 1.0),
                 ValueError, f"{name} = None must be in (0, 1] for {kind}",
                 id=f"{fn.__name__}-{kind}-{name}")
+        for kind in ("svrg", "saga", "sarah", "hsgd", "hsvrg"):
+            params = EstimatorParams(b=0, p_switch=0.5, omega=0.5)
+            yield pytest.param(
+                lambda fn=fn, kind=kind, params=params:
+                    fn(kind, params, 1.0, n=10),
+                ValueError, f"b = 0 must be > 0 for {kind}",
+                id=f"{fn.__name__}-{kind}-b0")
     for kind in ("full", "saga"):
         yield pytest.param(
             lambda kind=kind: default_params(kind, setting="E",
