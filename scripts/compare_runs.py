@@ -11,7 +11,8 @@ Their runs.csv, summary.csv and manifest.json are compared:
   and in the manifest every string, integer, boolean and null;
 * float values (the residual and wall-time CSV columns, the manifest's
   float fields) get a relative change |a - b| / max(|a|, |b|) and an
-  absolute change |a - b|.
+  absolute change |a - b|.  The manifest writes a non-finite float as the
+  string "inf", "-inf" or "nan"; such a string is read back as that float.
 
 It prints the largest relative and the largest absolute change for each
 file and float column, and the first structural difference it finds.  The
@@ -38,6 +39,8 @@ FLOAT_COLUMNS = ("rel_residual", "abs_residual", "wall_ms",
                  "mean_rel_residual")
 # the north star's rounding-level bound for a refactor, relative per value
 REL_TOL = 1e-9
+# the manifest's strings for non-finite floats
+NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
 class Structural(Exception):
@@ -86,6 +89,10 @@ def compare_csv(path_a: Path, path_b: Path) -> dict:
     return changes
 
 
+def _read_float(value):
+    return NON_FINITE.get(value, value) if isinstance(value, str) else value
+
+
 def _walk(a, b, path, changes):
     if isinstance(a, dict) and isinstance(b, dict):
         if sorted(a) != sorted(b):
@@ -99,6 +106,9 @@ def _walk(a, b, path, changes):
             _walk(u, v, path + "[]", changes)
     elif isinstance(a, float) and isinstance(b, float):
         _note(changes, path, a, b)
+    elif isinstance(a, str) and a in NON_FINITE \
+            or isinstance(b, str) and b in NON_FINITE:
+        _walk(_read_float(a), _read_float(b), path, changes)
     elif type(a) is not type(b) or a != b:
         raise Structural(f"{path}: {a!r} != {b!r}")
 

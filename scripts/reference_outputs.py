@@ -15,9 +15,14 @@ whose outputs are written.  OUT then holds
                        VERIFY_SEEDS and VERIFY_TRIALS trials: per run, one
                        line naming it and its exit code, then its report
                        lines
+    numeric_env.json   what byte identity depends on: the Python and numpy
+                       versions, the BLAS name and version from numpy's
+                       build config, every *_NUM_THREADS variable and the
+                       number of usable CPUs (nproc)
 
-Both desk runs use seeds DESK_SEEDS and "timing": "off", so a rerun writes
-the same bytes.  Compare two such directories A and B with
+Both desk runs use seeds DESK_SEEDS and "timing": "off", so a rerun with
+the same numpy, BLAS and thread count writes the same bytes.  Compare two
+such directories A and B with
 
     python scripts/compare_runs.py A/policy_eval_desk B/policy_eval_desk
     python scripts/compare_runs.py A/auc_desk B/auc_desk
@@ -27,8 +32,12 @@ the same bytes.  Compare two such directories A and B with
 import contextlib
 import io
 import json
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import vrfrbs
 from vrfrbs.bench import run_experiment
@@ -63,6 +72,23 @@ def write_verify_lines(path: Path) -> None:
                          + report.getvalue())
 
 
+def numeric_env() -> dict:
+    """The versions and settings the output bytes depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:   # not on Linux
+        nproc = os.cpu_count()
+    threads = {key: value for key, value in sorted(os.environ.items())
+               if key.endswith("_NUM_THREADS")}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "num_threads": threads, "nproc": nproc}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -73,7 +99,10 @@ def main(argv=None) -> int:
     print(f"vrfrbs from {Path(vrfrbs.__file__).parent}")
     write_desk_runs(out)
     write_verify_lines(out / "verify.txt")
-    print(f"wrote {', '.join(DESK_EPOCHS)} and verify.txt to {out}")
+    (out / "numeric_env.json").write_text(
+        json.dumps(numeric_env(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {', '.join(DESK_EPOCHS)}, verify.txt and numeric_env.json "
+          f"to {out}")
     return 0
 
 

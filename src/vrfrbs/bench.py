@@ -15,9 +15,12 @@ evaluations), and writes
                    as given) and one resolution per cell
 
 Floats are written with 17 significant digits (exact decimal round-trip)
-and LF line endings.  With the default "timing": "off" the wall_ms column
-is written as 0 and outputs are byte-identical across repeats; set
-"timing": "wall" to record measured wall time instead.
+and LF line endings.  manifest.json is strict JSON: a non-finite float (an
+infinite condition side, or "radius": Infinity echoed from the config) is
+written as the string "inf", "-inf" or "nan".  With the default "timing":
+"off" the wall_ms column is written as 0 and outputs are byte-identical
+across repeats with the same numpy, BLAS and thread count; set "timing":
+"wall" to record measured wall time instead.
 """
 
 from __future__ import annotations
@@ -440,6 +443,18 @@ def _write_summary_csv(path: Path, experiment_id: str,
                     fh.write(f"{experiment_id},{alg},{_fmt(g)},{_fmt(m)}\n")
 
 
+def _strict_json(value):
+    """`value` with every non-finite float replaced by the string "inf",
+    "-inf" or "nan", which json.dump(allow_nan=False) accepts."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def run_experiment(config, out_dir):
     """Execute the experiment matrix and write runs.csv, summary.csv, and
     manifest.json into out_dir.  Returns the list of per-cell resolutions.
@@ -471,7 +486,8 @@ def run_experiment(config, out_dir):
                 "cells": sorted((c.resolution for c in cells),
                                 key=lambda r: (r["algorithm"], r["seed"]))}
     with open(out / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(manifest), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     diverged = [f"{c.algorithm} seed {c.seed} at iteration "
                 f"{c.resolution['diverged']['iteration']}"

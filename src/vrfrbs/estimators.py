@@ -32,6 +32,7 @@ by the step-size validators in `solver`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -154,17 +155,64 @@ _DRAW_CHUNK = 4096
 _NOTHING_AHEAD = np.empty(0, dtype=np.int64)
 
 
+_REAL = (int, float, np.integer, np.floating)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite_positive(value) -> bool:
+    """A number in (0, float max]: float arithmetic on it cannot raise (a
+    larger int would not convert to float).  A bool is not a number.  The
+    concrete types, not numbers.Real, keep the check cheap: make_estimator
+    runs it for every Monte-Carlo history."""
+    return isinstance(value, _REAL) and not isinstance(value, bool) \
+        and 0 < value <= _FLOAT_MAX
+
+
+def _check_positive(name: str, value) -> None:
+    if not _finite_positive(value):
+        raise ValueError(f"{name} = {value!r} must be a finite number > 0")
+
+
+def _check_n(n) -> None:
+    """n is None (an oracle) or a component count."""
+    if n is not None and not (isinstance(n, (int, np.integer))
+                              and _finite_positive(n)):
+        raise ValueError(f"n = {n!r} must be None or an integer >= 1")
+
+
 def _check_rates(kind: str, params: EstimatorParams) -> None:
-    """b > 0 for every kind but full (the theory formulas divide by it), and
-    p_switch and omega, for the kinds that read them, are in (0, 1]."""
-    if kind != FULL and not params.b > 0:
+    """The parameters the theory formulas read: b > 0 for every kind but
+    full (they divide by it), p_switch and omega, for the kinds that read
+    them, in (0, 1], mega_batch 'exact' or an integer >= 1, and sigma2 a
+    finite number >= 0."""
+    if kind != FULL and not _finite_positive(params.b):
         raise ValueError(f"b = {params.b!r} must be > 0 for {kind}")
     for name in ("p_switch",) * (kind in _NEEDS_SWITCH) \
             + ("omega",) * (kind in _NEEDS_OMEGA):
         value = getattr(params, name)
-        if value is None or not 0.0 < value <= 1.0:
+        if not (_finite_positive(value) and value <= 1.0):
             raise ValueError(f"{name} = {value!r} must be in (0, 1] "
                              f"for {kind}")
+    mega = params.mega_batch
+    if not (mega == "exact" or (isinstance(mega, (int, np.integer))
+                                and not isinstance(mega, bool) and mega >= 1)):
+        raise ValueError(
+            f"mega_batch = {mega!r} must be 'exact' or an integer >= 1")
+    s2 = params.sigma2
+    if not (s2 == 0 or _finite_positive(s2)):
+        raise ValueError(f"sigma2 = {s2!r} must be a finite number >= 0")
+
+
+def _over(num: float, den: float) -> float:
+    """num / den in a theory formula, whose denominator is a product of
+    positive parameters: one that underflows to 0 is an infinite bound."""
+    return num / den if den else math.inf
+
+
+def _check_card_args(kind: str, params: EstimatorParams, L, n) -> None:
+    _check_rates(kind, params)
+    _check_positive("L", L)
+    _check_n(n)
 
 
 def check_params(kind: str, params: EstimatorParams,
@@ -176,7 +224,7 @@ def check_params(kind: str, params: EstimatorParams,
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     b, mega = params.b, params.mega_batch
-    if b < 1:
+    if not (_finite_positive(b) and b >= 1):
         raise ValueError(f"b = {b!r} must be >= 1")
     if n is not None and b > n:
         raise ValueError(f"b = {b!r} must be <= n = {n}")
@@ -192,9 +240,6 @@ def check_params(kind: str, params: EstimatorParams,
             raise UnsupportedConfigError(
                 f"{kind} with an exact anchor needs a finite-sum operator; "
                 "set mega_batch to an integer for oracles")
-    elif not (isinstance(mega, (int, np.integer)) and mega >= 1):
-        raise ValueError(
-            f"mega_batch = {mega!r} must be 'exact' or an integer >= 1")
     elif n is not None and mega > n:
         raise ValueError(f"mega_batch = {mega} must be <= n = {n}; "
                          "use 'exact'")
@@ -216,7 +261,9 @@ class _StepEval:
     (b, T, ...) arrays (see `_draw_batch`); batch values are then
     (b, T, dim) and batch means (T, dim).  A mean reduces the leading batch
     axis, which numpy sums row after row, in the same order as a reduction
-    over the middle axis of (T, b, dim) and several times faster.
+    over the middle axis of (T, b, dim) and several times faster; a
+    one-sample batch's mean is its sample row, which is what the reduction
+    and the division by 1 would give.
     """
 
     def __init__(self, state: EstimatorState, trials: Optional[int] = None):
@@ -230,7 +277,12 @@ class _StepEval:
         if self.trials is None:
             self.calls += len(idx)
             return self.op.batch_mean(point, idx)
-        return np.add.reduce(self.components(point, idx), axis=0) / len(idx)
+        rows = self.components(point, idx)
+        if len(idx) == 1:
+            return rows[0]
+        total = np.add.reduce(rows, axis=0)
+        total /= len(idx)
+        return total
 
     def means(self, points, idx):
         """Batch means at each of `points` on the same batch, charged one
@@ -554,7 +606,7 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         w = pm.omega
         value = (1.0 - w) * rec + w * blend
 
-    if trials is not None:
+    if trials is not None and value.ndim == 1:
         # full and all-reset sarah values are shared by every trial
         value = np.broadcast_to(value, (trials, state.problem.dim))
     return value, ev.calls
@@ -634,7 +686,7 @@ def theory_card(kind: str, params: EstimatorParams, L: float,
     Mega-batch anchors use the balance weight mu = 1 in their constants.
     delta_k formulas rely on params.sigma2 (0 when no bound is supplied).
     """
-    _check_rates(kind, params)
+    _check_card_args(kind, params, L, n)
     L2 = L * L
     b = params.b
     s2 = params.sigma2
@@ -655,18 +707,18 @@ def theory_card(kind: str, params: EstimatorParams, L: float,
     if kind == SVRG:
         p = params.p_switch
         if params.mega_batch == "exact":
-            return TheoryCard(1.0, p / 2.0, 16.0 * L2 / (b * p),
-                              4.0 * L2 / (b * p), zero, biased=False)
+            return TheoryCard(1.0, p / 2.0, _over(16.0 * L2, b * p),
+                              _over(4.0 * L2, b * p), zero, biased=False)
         nk = int(params.mega_batch)
-        return TheoryCard(1.0, p / 2.0, 32.0 * L2 / (b * p),
-                          8.0 * L2 / (b * p), (lambda k: p * s2 / nk),
+        return TheoryCard(1.0, p / 2.0, _over(32.0 * L2, b * p),
+                          _over(8.0 * L2, b * p), (lambda k: p * s2 / nk),
                           biased=False)
 
     if kind == SAGA:
         if n is None:
             raise ValueError("saga theory card needs n")
-        return TheoryCard(1.0, b / (2.0 * n), 16.0 * L2 * n / (b * b),
-                          4.0 * L2 * n / (b * b), zero, biased=False)
+        return TheoryCard(1.0, b / (2.0 * n), _over(16.0 * L2 * n, b * b),
+                          _over(4.0 * L2 * n, b * b), zero, biased=False)
 
     if kind == SARAH:
         p = params.p_switch
@@ -694,8 +746,9 @@ def theory_card(kind: str, params: EstimatorParams, L: float,
         C = _hybrid_c(params)
         b_hat = b  # blended batch has the same size
         mu = 0.0 if params.mega_batch == "exact" else 1.0
-        inner = C * (1.0 - w) ** 2 / b + 8.0 * (1.0 + mu) * w * w / (b_hat * p * p) \
-            if b_hat * p * p else math.inf  # p^2 underflows below p ~ 1e-162
+        # p^2 underflows below p ~ 1e-162
+        inner = C * (1.0 - w) ** 2 / b \
+            + _over(8.0 * (1.0 + mu) * w * w, b_hat * p * p)
         if params.mega_batch == "exact":
             delta = zero
         else:
@@ -717,7 +770,7 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
     factors dropped).  lhs >= rhs means the sized parameters are admissible;
     the rule is exactly tight at the published batch choices.
     """
-    _check_rates(kind, params)
+    _check_card_args(kind, params, L, n)
     L2 = L * L
     b = params.b
     if kind == FULL:
@@ -727,11 +780,11 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
     if kind == SVRG:
         p = params.p_switch
         scale = 1.0 if params.mega_batch == "exact" else 2.0
-        return (p / 2.0) * L2, scale * 20.0 * L2 / (b * p)
+        return (p / 2.0) * L2, _over(scale * 20.0 * L2, b * p)
     if kind == SAGA:
         if n is None:
             raise ValueError("saga sizing rule needs n")
-        return (b / (2.0 * n)) * L2, 20.0 * L2 * n / (b * b)
+        return (b / (2.0 * n)) * L2, _over(20.0 * L2 * n, b * b)
     if kind == SARAH:
         p = params.p_switch
         return 2.0 * L2 * p ** 3, 220.0 * L2 / b
@@ -742,8 +795,7 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
         w = params.omega
         p = params.p_switch
         return (4.0 * L2 * w ** 3 * (2.0 - w),
-                440.0 * L2 * (1.0 / b + 4.0 * w * w / (b * p * p))
-                if b * p * p else math.inf)  # as in theory_card's hsvrg
+                440.0 * L2 * (1.0 / b + _over(4.0 * w * w, b * p * p)))
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
@@ -766,18 +818,19 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
     increasing-batch schedule for sgd).  profile="theory" sizes parameters
     so the step-size conditions hold, clamping batch sizes to [1, n]:
     b = 40/p^2 (svrg), b = 40^{1/3} n^{2/3} (saga), b = 110/p^3 (sarah),
-    with the analogous constants for the hybrids.
+    with the analogous constants for the hybrids.  Setting E sizes are
+    powers of epsilon; an epsilon for which they are not finite numbers is
+    a ValueError.
     """
     if setting not in ("F", "E"):
         raise ValueError("setting must be 'F' or 'E'")
     if setting == "F" and n is None:
         raise ValueError("setting 'F' needs n")
-    if setting == "E" and profile == "theory" and epsilon is None:
-        raise ValueError("theory profile in setting 'E' needs epsilon")
-
-    def clamp(b):
-        b = max(1, int(math.ceil(b)))
-        return min(b, n) if (setting == "F" and n is not None) else b
+    _check_n(n)
+    if setting == "E" and profile == "theory":
+        if epsilon is None:
+            raise ValueError("theory profile in setting 'E' needs epsilon")
+        _check_positive("epsilon", epsilon)
 
     if profile == "experiment":
         if n is None:
@@ -806,6 +859,19 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
 
     if kind in (FULL, SAGA):  # neither runs on an oracle
         check_params(kind, EstimatorParams(), n)
+    try:
+        return _theory_params(kind, n, setting, epsilon)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"epsilon = {epsilon!r} is out of range: {kind}'s "
+                         "theory sizes are not finite numbers") from None
+
+
+def _theory_params(kind, n, setting, epsilon) -> EstimatorParams:
+    """default_params(profile="theory") past its argument checks."""
+    def clamp(b):
+        b = max(1, int(math.ceil(b)))
+        return min(b, n) if (setting == "F" and n is not None) else b
+
     if kind == FULL:
         return EstimatorParams()
     if kind == SGD:

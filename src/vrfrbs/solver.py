@@ -21,7 +21,8 @@ from typing import List, Optional
 import numpy as np
 
 from .core import InclusionProblem, InfeasibleParametersError, apply_resolvent, fb_residual
-from .estimators import EstimatorState, TheoryCard, estimator_step
+from .estimators import (EstimatorState, TheoryCard, _check_positive,
+                         _finite_positive, estimator_step)
 
 UNBIASED_STEP_DENOM = 3.0 * math.sqrt(2.0)   # eta < 1/(3 sqrt(2) L)
 BIASED_STEP_DENOM = math.sqrt(134.0)         # eta < 1/(sqrt(134) L)
@@ -50,12 +51,11 @@ def theory_stepsize(L: float, rho: float = 0.0,
         InfeasibleParametersError: when no admissible eta exists (rho too
             large relative to 1/L).
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if not (0.0 < safety < 1.0):
-        raise ValueError("safety must lie in (0, 1)")
+    _check_positive("L", L)
+    if not (rho == 0 or _finite_positive(rho)):
+        raise ValueError(f"rho = {rho!r} must be a finite number >= 0")
+    if not (_finite_positive(safety) and safety < 1.0):
+        raise ValueError(f"safety = {safety!r} must lie in (0, 1)")
     if estimator_class == "unbiased":
         upper = 1.0 / (UNBIASED_STEP_DENOM * L)
         lower = 8.0 * rho
@@ -70,6 +70,9 @@ def theory_stepsize(L: float, rho: float = 0.0,
         raise InfeasibleParametersError(
             f"no admissible step size: {bound_name} is violated "
             f"(L={L:g}, rho={rho:g})")
+    if upper == math.inf:
+        raise ValueError(f"L = {L!r} is too small: the step bound "
+                         "1/(c L) is not a finite number")
     return max(lower, safety * upper)
 
 
@@ -90,6 +93,8 @@ def validate_rates(card: TheoryCard, L: float,
     one ConditionCheck per condition, with both sides.  Advisory only (the
     benchmark settings deliberately exceed these thresholds): never blocks
     a run; callers decide what to do with a failed check."""
+    _check_positive("L", L)
+    _check_positive("eta", eta)
     checks = []
     if card.biased:
         checks.append(ConditionCheck(

@@ -271,9 +271,19 @@ class _Moments:
 
     def add(self, chunk: np.ndarray) -> None:
         size = len(chunk)
-        # add.reduce: the bits of .mean and .sum without their wrappers
-        mean = np.add.reduce(chunk, axis=0) / size
-        m2 = np.add.reduce((chunk - mean) ** 2, axis=0)
+        if chunk.ndim == 2 and chunk.shape[1] > 1:
+            # column sums of a (T, dim) chunk in one einsum loop, where
+            # add.reduce runs one length-dim loop per row; both add the
+            # rows in order, so the bits are the same
+            mean = np.einsum("ij->j", chunk) / size
+            dev = chunk - mean
+            m2 = np.einsum("ij,ij->j", dev, dev)
+        else:
+            # add.reduce: the bits of .mean and .sum without their
+            # wrappers; a 1-D or one-column stream is summed pairwise,
+            # which einsum does not reproduce
+            mean = np.add.reduce(chunk, axis=0) / size
+            m2 = np.add.reduce((chunk - mean) ** 2, axis=0)
         total = self.count + size
         delta = mean - self.mean
         self.mean = self.mean + delta * (size / total)
@@ -316,7 +326,8 @@ def _check_mean(history: FrozenHistory, name: str, target: np.ndarray,
     mom = _mc_moments(history, trials, seed)
     count = mom.count
     se = math.sqrt(float(mom.m2.sum()) / (count - 1) / count)
-    dn = float(np.linalg.norm(mom.mean - target))
+    gap = mom.mean - target
+    dn = math.sqrt(float(np.dot(gap, gap)))  # np.linalg.norm's bits
     if se == 0.0:
         margin = 0.0 if dn == 0.0 else math.inf
     else:

@@ -685,17 +685,54 @@ def small_toy_configs(draw):
     }
 
 
+def _load_strict_json(path):
+    """json.loads that refuses the non-standard tokens NaN, Infinity and
+    -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{path} holds the non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 @settings(max_examples=30, deadline=5000)
 @given(small_toy_configs())
 def test_cli_run_exit_codes_property(config):
     """Every small config runs (0), is rejected as a config error (2) or
-    diverges (3); nothing else escapes."""
+    diverges (3); nothing else escapes, and every manifest written is
+    strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         code = cli_main(["run", "--config", str(cfg_path),
                          "--out", str(Path(tmp) / "out")])
+        manifest = Path(tmp) / "out" / "manifest.json"
+        if manifest.exists():
+            _load_strict_json(manifest)
     assert code in (0, 2, 3)
+
+
+def test_manifest_writes_non_finite_floats_as_strings(tmp_path):
+    """An infinite condition side (hsvrg's Theta where b p^2 underflows)
+    and an echoed "radius": Infinity are written as the string "inf", so
+    the manifest is strict JSON."""
+    cfg = toy_config(algorithms=[
+        {"name": "h", "estimator": "hsvrg",
+         "params": {"b": 1, "p_switch": 8.0e-266, "omega": 0.5},
+         "eta": "1/5L"}])
+    cfg["problem"]["components"] = 1
+    cfg["run"].update(epochs=2, seeds=[0])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "toy")]) == 0
+    cell, = _load_strict_json(tmp_path / "toy" / "manifest.json")["cells"]
+    assert [c["rhs"] for c in cell["conditions"]][1] == "inf"
+
+    auc = toy_config(problem={"family": "auc", "n": 40, "d": 3,
+                              "radius": math.inf, "seed": 1})
+    auc["run"].update(epochs=1, seeds=[0])
+    run_experiment(auc, tmp_path / "auc")
+    manifest = _load_strict_json(tmp_path / "auc" / "manifest.json")
+    assert manifest["problem"]["radius"] == "inf"
 
 
 def test_cli_mega_batch_above_n_exits_before_any_cell(tmp_path, capsys,

@@ -109,6 +109,31 @@ def test_compare_runs_reports_absolute_change(toy_run, tmp_path, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
+def test_compare_runs_reads_non_finite_strings_as_floats(toy_run, tmp_path,
+                                                        capsys):
+    """A manifest float written as "inf" (bench's encoding of a non-finite
+    float) is compared as a float: against a finite value it is an infinite
+    relative change, not a structural difference; against "inf" it is no
+    change."""
+    runs = [tmp_path / "inf", tmp_path / "finite", tmp_path / "inf2"]
+    for run, rhs in zip(runs, ("inf", 2.5, "inf")):
+        shutil.copytree(toy_run, run)
+        path = run / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["cells"][0]["conditions"][1]["rhs"] = rhs
+        path.write_text(json.dumps(doc))
+    compare = _load_script("compare_runs.py")
+    assert compare.main([str(runs[0]), str(runs[1])]) == 2
+    report = capsys.readouterr().out
+    assert "structural" not in report
+    assert "  cells[].conditions[].rhs: inf relative, inf absolute" \
+        in report.splitlines()
+    assert compare.compare_json(runs[0] / "manifest.json",
+                                runs[2] / "manifest.json") \
+        == compare.compare_json(toy_run / "manifest.json",
+                                toy_run / "manifest.json")
+
+
 # --- reference_outputs.py ----------------------------------------------------
 
 def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):
@@ -121,7 +146,8 @@ def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):
         assert reference.main([str(out)]) == 0
     files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*")
                    if p.is_file())
-    assert len(files) == 7   # verify.txt and three files per desk config
+    # verify.txt, numeric_env.json and three files per desk config
+    assert len(files) == 8
     for rel in files:
         assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes()
     lines = (runs[0] / "verify.txt").read_text().splitlines()
@@ -130,3 +156,6 @@ def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):
     reports = [l for l in lines if not l.startswith("vrfrbs verify ")]
     assert len(reports) == 28
     assert all(l.split(", ")[1] == "2000" for l in reports)
+    env = json.loads((runs[0] / "numeric_env.json").read_text())
+    assert sorted(env) == ["blas", "nproc", "num_threads", "numpy", "python"]
+    assert sorted(env["blas"]) == ["name", "version"]

@@ -1,11 +1,14 @@
 import math
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrfrbs.core import InfeasibleParametersError, UnsupportedConfigError
-from vrfrbs.estimators import (EstimatorParams, default_params,
-                               sizing_rule_sides, theory_card)
+from vrfrbs.estimators import (KINDS, EstimatorParams, check_params,
+                               default_params, sizing_rule_sides, theory_card)
 from vrfrbs.solver import theory_stepsize, validate_rates
 
 
@@ -269,6 +272,10 @@ def _contract_calls():
                                              profile="theory", epsilon=0.1),
             UnsupportedConfigError, f"{kind} needs a finite-sum operator",
             id=f"default_params-{kind}")
+    yield pytest.param(
+        lambda: check_params("svrg", EstimatorParams(b=None, p_switch=0.5),
+                             10),
+        ValueError, "b = None must be >= 1", id="check_params-b-None")
 
 
 @pytest.mark.parametrize("call, error, message", list(_contract_calls()))
@@ -276,3 +283,78 @@ def test_contract_errors_are_check_params_errors(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as exc:
         call()
     assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda eps=eps: default_params(
+        "svrg", setting="E", profile="theory", epsilon=eps),
+        "epsilon", id=f"svrg-{eps}")
+    for eps in (0.0, 1e-300, 1e-160, -1.0)] + [
+    pytest.param(lambda: default_params("sarah", setting="E",
+                                        profile="theory", epsilon=1e-100),
+                 "epsilon", id="sarah-1e-100"),
+    pytest.param(lambda: theory_stepsize(float("nan")), "L",
+                 id="stepsize-nan"),
+    pytest.param(lambda: theory_card("saga", EstimatorParams(b=4), 1.0, n=0),
+                 "n", id="saga-card-n0"),
+])
+def test_theory_escapes_are_value_errors_naming_the_argument(call, name):
+    """Each of these used to escape with ZeroDivisionError, OverflowError,
+    TypeError or a step size of 0."""
+    with pytest.raises(ValueError, match=rf"^{name} = "):
+        call()
+
+
+# Every argument is drawn from values that make sense and from the edges:
+# None, zeros, a subnormal, huge floats and an int beyond float range,
+# negatives, NaN and infinity.
+_EDGES = st.sampled_from([None, 0, 0.0, 5e-324, 1e-310, 1e300,
+                          sys.float_info.max, 10 ** 400, -1, -2.5,
+                          math.nan, math.inf])
+
+
+def _or_edge(good):
+    return st.one_of(good, _EDGES)
+
+
+_RATE = _or_edge(st.floats(1e-3, 1.0))
+_POSITIVE = _or_edge(st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=250, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       params=st.builds(
+           EstimatorParams,
+           b=_or_edge(st.one_of(st.integers(1, 10 ** 6), st.floats(1.0, 1e6))),
+           p_switch=_RATE, omega=_RATE,
+           mega_batch=_or_edge(st.one_of(st.just("exact"),
+                                         st.integers(1, 10 ** 6))),
+           share_batches=st.booleans(),
+           sigma2=_or_edge(st.floats(0.0, 10.0))),
+       L=_POSITIVE, n=_or_edge(st.integers(1, 10 ** 7)), eta=_POSITIVE,
+       rho=_or_edge(st.floats(0.0, 1e-2)), epsilon=_RATE,
+       setting=st.sampled_from(["F", "E"]),
+       profile=st.sampled_from(["experiment", "theory"]),
+       biased=st.booleans())
+def test_theory_functions_return_or_raise_value_errors(
+        kind, params, L, n, eta, rho, epsilon, setting, profile, biased):
+    """theory_card, sizing_rule_sides, validate_rates, default_params and
+    theory_stepsize return or raise a ValueError subclass whatever they are
+    given; none escapes with TypeError, ZeroDivisionError or
+    OverflowError, and a step size they return is a finite number > 0."""
+    def attempt(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ValueError as exc:
+            assert str(exc)
+            return None
+
+    card = attempt(theory_card, kind, params, L, n=n)
+    attempt(sizing_rule_sides, kind, params, L, n=n)
+    if card is not None:
+        attempt(validate_rates, card, L, eta)
+    attempt(default_params, kind, n=n, setting=setting, epsilon=epsilon,
+            profile=profile)
+    step = attempt(theory_stepsize, L, rho,
+                   "biased" if biased else "unbiased")
+    assert step is None or (math.isfinite(step) and step > 0)

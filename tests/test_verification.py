@@ -7,7 +7,8 @@ from vrfrbs.estimators import (KINDS, EstimatorParams, _apply_step,
                                _make_draws, _select, default_params)
 from vrfrbs.problems import linear_toy
 from vrfrbs.verification import (MC_CHUNK, McReport, _mc_error_chunks,
-                                 _mc_moments, _next_step, build_history,
+                                 _mc_moments, _Moments, _next_step,
+                                 build_history,
                                  check_bias_recursion, check_unbiased,
                                  check_variance_recursion,
                                  enumerate_step_mean)
@@ -283,6 +284,34 @@ def test_chunked_moments_match_one_shot(squared):
                                atol=1e-12 * scale)
     np.testing.assert_allclose(mom.m2 / (trials - 1),
                                samples.var(axis=0, ddof=1), rtol=1e-12)
+
+
+# The einsum contract: _Moments takes a (T, dim) chunk's column sums with
+# einsum because it adds the rows in the order add.reduce(axis=0) does, in
+# one inner loop.  A numpy whose einsum sums in another order fails here.
+@pytest.mark.parametrize("trials", [2, 1000, MC_CHUNK])
+def test_moments_match_add_reduce_bit_for_bit(trials):
+    """Mean and M2 of two (T, dim) chunks, dim 2-64, equal the add.reduce
+    formulation of the pairwise merge bit for bit."""
+    rng = np.random.default_rng(trials)
+    for dim in range(2, 65):
+        mom = _Moments()
+        count, mean, m2 = 0, 0.0, 0.0
+        for _ in range(2):
+            chunk = rng.standard_normal((trials, dim)) \
+                * 10.0 ** rng.uniform(-3, 3) + rng.standard_normal(dim)
+            mom.add(chunk)
+            size = len(chunk)
+            chunk_mean = np.add.reduce(chunk, axis=0) / size
+            chunk_m2 = np.add.reduce((chunk - chunk_mean) ** 2, axis=0)
+            total = count + size
+            delta = chunk_mean - mean
+            mean = mean + delta * (size / total)
+            m2 = m2 + chunk_m2 + delta * delta * (count * size / total)
+            count = total
+        assert mom.count == count
+        assert np.array_equal(mom.mean, mean), dim
+        assert np.array_equal(mom.m2, m2), dim
 
 
 # every kind at the experiment defaults, plus the mega-batch and unshared
