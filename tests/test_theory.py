@@ -247,8 +247,9 @@ def test_default_saga_theory_on_an_oracle_is_unsupported():
 def _contract_calls():
     """Calls that must fail with check_params's error: theory_card and
     sizing_rule_sides for each kind missing a rate it reads or given b = 0
-    (the rate check check_params shares with them), and the theory profile
-    of a kind that needs a finite sum on an oracle."""
+    (the rate check check_params shares with them), the theory profile
+    of a kind that needs a finite sum on an oracle, and check_params given
+    b = None."""
     for fn in (theory_card, sizing_rule_sides):
         for kind, name in (("svrg", "p_switch"), ("sarah", "p_switch"),
                            ("hsvrg", "p_switch"), ("hsgd", "omega"),
