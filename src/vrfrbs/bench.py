@@ -342,7 +342,7 @@ def _run_cell(config: dict, alg_index: int, seed: int) -> CellResult:
                          seed=(0xF00D, alg_index, seed))
     max_iters = run_block["max_iters"]
     solver_cfg = SolverConfig(
-        eta=eta, max_iters=max_iters, seed=seed,
+        eta=eta, max_iters=max_iters,
         record_every=max_iters + 1,
         record_calls=run_block["record_every_epochs"] * n,
         max_calls=round(run_block["epochs"] * n))
@@ -406,10 +406,7 @@ def _interp_log_series(epochs, rels, grid):
     """log10(rel) linearly interpolated in epoch onto grid points inside
     the series' span; NaN outside."""
     logs = np.log10(np.maximum(np.asarray(rels, float), _LOG_FLOOR))
-    e = np.asarray(epochs, float)
-    out = np.interp(grid, e, logs, left=np.nan, right=np.nan)
-    out[(grid < e[0]) | (grid > e[-1])] = np.nan
-    return out
+    return np.interp(grid, epochs, logs, left=np.nan, right=np.nan)
 
 
 def _log_residual_curves(points, grid):

@@ -16,8 +16,7 @@ import json
 import sys
 
 from .bench import ConfigError, run_experiment, summarize
-from .core import InfeasibleParametersError, UnsupportedConfigError
-from .estimators import (BIASED_KINDS, KINDS, UNBIASED_KINDS, default_params)
+from .estimators import KINDS, UNBIASED_KINDS, default_params
 from .problems import linear_toy
 from .solver import DivergenceError
 from .verification import (build_history, check_bias_recursion,
@@ -38,8 +37,7 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         run_experiment(raw, args.out)
-    except (ConfigError, InfeasibleParametersError, UnsupportedConfigError,
-            ValueError) as exc:
+    except ValueError as exc:  # ConfigError and core's errors subclass it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
@@ -68,15 +66,10 @@ def _cmd_verify(args) -> int:
     problem = linear_toy(n=10, dim=4, seed=args.seed)
     params = default_params(kind, n=10, profile="experiment")
     history = build_history(kind, params, problem, seed=args.seed)
-    reports = []
-    if kind in UNBIASED_KINDS:
-        reports.append(check_unbiased(history, trials=args.trials,
-                                      seed=args.seed))
-    elif kind in BIASED_KINDS:
-        reports.append(check_bias_recursion(history, trials=args.trials,
-                                            seed=args.seed))
-    reports.append(check_variance_recursion(history, trials=args.trials,
-                                            seed=args.seed))
+    defining = check_unbiased if kind in UNBIASED_KINDS \
+        else check_bias_recursion
+    reports = [check(history, trials=args.trials, seed=args.seed)
+               for check in (defining, check_variance_recursion)]
     for rep in reports:
         print(rep.to_line())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL

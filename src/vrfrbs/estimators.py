@@ -71,7 +71,6 @@ class EstimatorParams:
         on a finite sum).
     share_batches: hybrids reuse the recursion batch for the blended term
         (True, the default) or draw an independent one.
-    delta_schedule: k -> delta_k slack for the adaptive sgd batch rule.
     sigma2: oracle variance bound, used by the adaptive sgd rule and by the
         theory-card delta_k formulas.
     """
@@ -82,7 +81,6 @@ class EstimatorParams:
     omega: Optional[float] = None
     mega_batch: Union[int, str] = "exact"
     share_batches: bool = True
-    delta_schedule: Optional[Callable[[int], float]] = None
     sigma2: float = 0.0
 
 
@@ -128,7 +126,6 @@ class EstimatorState:
     # saga table
     table: Optional[np.ndarray] = None
     table_mean: Optional[np.ndarray] = None
-    steps_since_resync: int = 0
     # exact value kept between sarah's exact resets: (iterate index, value)
     last_full: Optional[tuple] = None
     # indices drawn but not yet used, for the kinds that draw ahead (see
@@ -355,10 +352,7 @@ def _sgd_batch_size(state: EstimatorState, x, x1, x2) -> int:
     elif pm.sigma2 > 0.0:
         # adaptive rule: b_k >= sigma^2 / (L^2/2 dx^2 + L^2/2 dx'^2 + delta_k)
         L2 = state.problem.lipschitz ** 2
-        if pm.delta_schedule is not None:
-            delta = pm.delta_schedule(state.k)
-        else:
-            delta = L2 / (state.k + 1) ** 2
+        delta = L2 / (state.k + 1) ** 2
         denom = 0.5 * L2 * float(np.dot(x - x1, x - x1)) \
             + 0.5 * L2 * float(np.dot(x1 - x2, x1 - x2)) + delta
         b = math.ceil(pm.sigma2 / denom) if denom > 0 else int(pm.b)
@@ -563,10 +557,8 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
                 new_rows - old.take(first, axis=0), axis=0) \
                 / state.problem.n_components
             state.table[uniq] = new_rows
-            state.steps_since_resync += 1
-            if state.steps_since_resync >= _SAGA_RESYNC_EVERY:
+            if state.k % _SAGA_RESYNC_EVERY == 0:
                 state.table_mean = state.table.mean(axis=0)
-                state.steps_since_resync = 0
 
     elif kind == SARAH:
         coin = draws["coin"]
@@ -696,9 +688,7 @@ def theory_card(kind: str, params: EstimatorParams, L: float,
         return TheoryCard(1.0, 1.0, 0.0, 0.0, zero, biased=False)
 
     if kind == SGD:
-        if params.delta_schedule is not None:
-            delta = params.delta_schedule
-        elif params.b_schedule is not None and s2 > 0:
+        if params.b_schedule is not None and s2 > 0:
             delta = (lambda k: s2 / params.b_schedule(k))
         else:
             delta = (lambda k: s2 / b if s2 > 0 else 0.0)
@@ -807,51 +797,46 @@ def increasing_batch_schedule(n: int,
     return schedule
 
 
-def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
+def default_params(kind: str, n: Optional[int] = None,
                    epsilon: Optional[float] = None,
                    profile: str = "experiment") -> EstimatorParams:
-    """Stock parameter choices.
+    """Stock parameter choices on a finite sum of `n` components, or on an
+    oracle (the expectation setting) when `n` is None.
 
     profile="experiment" reproduces the benchmark settings (b = floor(0.5
     n^{2/3}) with p = n^{-1/3} for svrg/saga, b = floor(0.25 n^{3/4}) with
-    p = n^{-1/4} for the biased family, omega = 0.5, and the polynomial
-    increasing-batch schedule for sgd).  profile="theory" sizes parameters
-    so the step-size conditions hold, clamping batch sizes to [1, n]:
-    b = 40/p^2 (svrg), b = 40^{1/3} n^{2/3} (saga), b = 110/p^3 (sarah),
-    with the analogous constants for the hybrids.  Setting E sizes are
-    powers of epsilon; an epsilon for which they are not finite numbers is
-    a ValueError.
+    p = n^{-1/4} for the biased family, every b at least 1, omega = 0.5,
+    and the polynomial increasing-batch schedule for sgd).  profile="theory"
+    sizes parameters so the step-size conditions hold, clamping batch sizes
+    to [1, n]: b = 40/p^2 (svrg), b = 40^{1/3} n^{2/3} (saga), b = 110/p^3
+    (sarah), with the analogous constants for the hybrids.  Oracle sizes
+    are powers of epsilon; an epsilon for which they are not finite numbers
+    is a ValueError.
     """
-    if setting not in ("F", "E"):
-        raise ValueError("setting must be 'F' or 'E'")
-    if setting == "F" and n is None:
-        raise ValueError("setting 'F' needs n")
     _check_n(n)
-    if setting == "E" and profile == "theory":
-        if epsilon is None:
-            raise ValueError("theory profile in setting 'E' needs epsilon")
+    if n is None and profile == "theory":
         _check_positive("epsilon", epsilon)
 
     if profile == "experiment":
         if n is None:
             raise ValueError("experiment profile needs n")
+        b_unbiased = max(1, int(0.5 * n ** (2.0 / 3.0)))
+        b_biased = max(1, int(0.25 * n ** 0.75))
         if kind == FULL:
             return EstimatorParams()
         if kind == SGD:
             return EstimatorParams(b_schedule=increasing_batch_schedule(n))
         if kind == SVRG:
-            return EstimatorParams(b=int(0.5 * n ** (2.0 / 3.0)),
-                                   p_switch=n ** (-1.0 / 3.0))
+            return EstimatorParams(b=b_unbiased, p_switch=n ** (-1.0 / 3.0))
         if kind == SAGA:
-            return EstimatorParams(b=int(0.5 * n ** (2.0 / 3.0)))
+            return EstimatorParams(b=b_unbiased)
         if kind == SARAH:
-            return EstimatorParams(b=int(0.25 * n ** 0.75),
-                                   p_switch=n ** (-0.25))
+            return EstimatorParams(b=b_biased, p_switch=n ** (-0.25))
         if kind == HSGD:
-            return EstimatorParams(b=int(0.25 * n ** 0.75), omega=0.5)
+            return EstimatorParams(b=b_biased, omega=0.5)
         if kind == HSVRG:
-            return EstimatorParams(b=int(0.25 * n ** 0.75),
-                                   p_switch=n ** (-1.0 / 3.0), omega=0.5)
+            return EstimatorParams(b=b_biased, p_switch=n ** (-1.0 / 3.0),
+                                   omega=0.5)
         raise ValueError(f"unknown estimator kind {kind!r}")
 
     if profile != "theory":
@@ -860,26 +845,25 @@ def default_params(kind: str, n: Optional[int] = None, setting: str = "F",
     if kind in (FULL, SAGA):  # neither runs on an oracle
         check_params(kind, EstimatorParams(), n)
     try:
-        return _theory_params(kind, n, setting, epsilon)
+        return _theory_params(kind, n, epsilon)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"epsilon = {epsilon!r} is out of range: {kind}'s "
                          "theory sizes are not finite numbers") from None
 
 
-def _theory_params(kind, n, setting, epsilon) -> EstimatorParams:
+def _theory_params(kind, n, epsilon) -> EstimatorParams:
     """default_params(profile="theory") past its argument checks."""
     def clamp(b):
         b = max(1, int(math.ceil(b)))
-        return min(b, n) if (setting == "F" and n is not None) else b
+        return b if n is None else min(b, n)
 
     if kind == FULL:
         return EstimatorParams()
     if kind == SGD:
-        if setting == "F":
-            return EstimatorParams(b_schedule=lambda k: min(n, k + 1))
-        return EstimatorParams(b_schedule=lambda k: k + 1)
+        return EstimatorParams(
+            b_schedule=lambda k: k + 1 if n is None else min(n, k + 1))
     if kind == SVRG:
-        if setting == "F":
+        if n is not None:
             p = n ** (-1.0 / 3.0)
             return EstimatorParams(b=clamp(40.0 / p ** 2), p_switch=p)
         p = epsilon ** (2.0 / 3.0)
@@ -888,28 +872,28 @@ def _theory_params(kind, n, setting, epsilon) -> EstimatorParams:
     if kind == SAGA:
         return EstimatorParams(b=clamp(40.0 ** (1.0 / 3.0) * n ** (2.0 / 3.0)))
     if kind == SARAH:
-        if setting == "F":
+        if n is not None:
             p = n ** (-0.25)
             return EstimatorParams(b=clamp(110.0 / p ** 3), p_switch=p)
         p = min(1.0, epsilon)
         return EstimatorParams(b=clamp(110.0 / p ** 3), p_switch=p,
                                mega_batch=int(math.ceil(epsilon ** -4)))
     if kind == HSGD:
-        w = n ** (-0.25) if setting == "F" else min(1.0, epsilon)
+        w = n ** (-0.25) if n is not None else min(1.0, epsilon)
         C = 2.0
         b = 55.0 * C * (1.0 - w) ** 2 / (w ** 3 * (2.0 - w))
-        mega: Union[int, str] = "exact" if setting == "F" \
+        mega: Union[int, str] = "exact" if n is not None \
             else int(math.ceil(epsilon ** -3))
         return EstimatorParams(b=clamp(b), omega=w, mega_batch=mega)
     if kind == HSVRG:
-        if setting == "F":
+        if n is not None:
             p = n ** (-0.25)
             w = p / 8.0
         else:
             w = min(1.0, epsilon)
             p = min(1.0, 8.0 * w)
         b = max(220.0 / w ** 3, 880.0 / (w * p * p))
-        mega = "exact" if setting == "F" else int(math.ceil(epsilon ** -3))
+        mega = "exact" if n is not None else int(math.ceil(epsilon ** -3))
         return EstimatorParams(b=clamp(b), p_switch=p, omega=w,
                                mega_batch=mega)
     raise ValueError(f"unknown estimator kind {kind!r}")

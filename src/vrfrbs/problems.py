@@ -50,14 +50,6 @@ class AucDataset:
     p_pos: float
     kappa_feat: float
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
 
 def gen_auc_dataset(n: int, d: int, p_pos: float, noise_sigma: float,
                     seed) -> AucDataset:
@@ -233,10 +225,6 @@ class Transitions:
     phi: np.ndarray       # (n, d)
     phi_next: np.ndarray  # (n, d)
     r: np.ndarray         # (n,)
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
 
     @property
     def d(self) -> int:

@@ -6,9 +6,7 @@ The update is
 
 where J is the resolvent of eta*T and S_tilde_k estimates the
 forward-reflected direction 2 G(x_k) - G(x_{k-1}).  A run records the
-forward-backward residual along the way and keeps a single-slot uniform
-reservoir so one iterate, uniformly distributed over the visited history,
-is available at the end.
+forward-backward residual along the way.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .estimators import (EstimatorState, TheoryCard, _check_positive,
 UNBIASED_STEP_DENOM = 3.0 * math.sqrt(2.0)   # eta < 1/(3 sqrt(2) L)
 BIASED_STEP_DENOM = math.sqrt(134.0)         # eta < 1/(sqrt(134) L)
 BIASED_CONDITION_FACTOR = 22.0               # 4 L^2 tau^2 kappa >= 22 (Theta + Theta_hat)
+STEP_SAFETY = 0.99                           # theory_stepsize's share of the bound
 DIVERGENCE_NORM = 1e12                       # iterates beyond this norm diverged
 
 
@@ -39,13 +38,12 @@ class DivergenceError(RuntimeError):
 
 
 def theory_stepsize(L: float, rho: float = 0.0,
-                    estimator_class: str = "unbiased",
-                    safety: float = 0.99) -> float:
+                    estimator_class: str = "unbiased") -> float:
     """Admissible step size from the convergence conditions.
 
     Unbiased estimators require 8 rho <= eta < 1/(3 sqrt(2) L); biased ones
-    require 32 rho <= eta < 1/(sqrt(134) L).  Returns safety * upper bound,
-    raised to the lower bound when needed.
+    require 32 rho <= eta < 1/(sqrt(134) L).  Returns STEP_SAFETY times the
+    upper bound, raised to the lower bound when needed.
 
     Raises:
         InfeasibleParametersError: when no admissible eta exists (rho too
@@ -54,8 +52,6 @@ def theory_stepsize(L: float, rho: float = 0.0,
     _check_positive("L", L)
     if not (rho == 0 or _finite_positive(rho)):
         raise ValueError(f"rho = {rho!r} must be a finite number >= 0")
-    if not (_finite_positive(safety) and safety < 1.0):
-        raise ValueError(f"safety = {safety!r} must lie in (0, 1)")
     if estimator_class == "unbiased":
         upper = 1.0 / (UNBIASED_STEP_DENOM * L)
         lower = 8.0 * rho
@@ -73,7 +69,7 @@ def theory_stepsize(L: float, rho: float = 0.0,
     if upper == math.inf:
         raise ValueError(f"L = {L!r} is too small: the step bound "
                          "1/(c L) is not a finite number")
-    return max(lower, safety * upper)
+    return max(lower, STEP_SAFETY * upper)
 
 
 @dataclass
@@ -126,7 +122,6 @@ class SolverConfig:
 
     eta: float
     max_iters: int
-    seed: int = 0
     record_every: int = 1
     record_calls: Optional[float] = None
     stop_tol: float = 0.0
@@ -146,7 +141,6 @@ class TraceRecord:
 class RunTrace:
     records: List[TraceRecord]
     final_x: np.ndarray
-    best_iterate: np.ndarray
     iterations_run: int
     oracle_calls: int
 
@@ -155,10 +149,9 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
         config: SolverConfig) -> RunTrace:
     """Run the iteration from the estimator's x0.
 
-    Deterministic given (problem, estimator kind/params/seed, config): the
-    reservoir uses its own stream derived from config.seed.  Raises
-    DivergenceError (with the partial trace attached) if an iterate goes
-    non-finite or its norm exceeds DIVERGENCE_NORM.
+    Deterministic given (problem, estimator kind/params/seed, config).
+    Raises DivergenceError (with the partial trace attached) if an iterate
+    goes non-finite or its norm exceeds DIVERGENCE_NORM.
     """
     if config.eta <= 0:
         raise ValueError("eta must be positive")
@@ -168,52 +161,43 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
         raise ValueError("estimator state was already advanced; make a fresh one")
 
     eta = config.eta
-    reservoir_rng = np.random.default_rng(
-        np.random.SeedSequence([0x5E1EC7, config.seed]))
 
-    x = estimator.x0.copy()
-    x1 = x.copy()
-    x2 = x.copy()
+    # no step writes into an iterate, so the three may share one array
+    x = x1 = x2 = estimator.x0.copy()
     s_tilde = estimator.s_tilde
-    reservoir = x.copy()
 
     t0 = time.perf_counter()
+    abs0 = fb_residual(problem, eta, x)[1]
+    records = [TraceRecord(0, estimator.calls, abs0,
+                           0.0 if abs0 == 0.0 else 1.0, 0.0)]
 
-    def residual_at(point):
-        return fb_residual(problem, eta, point)[1]
+    def record():
+        """Record the residual at x; return it relative to the first."""
+        a = fb_residual(problem, eta, x)[1]
+        rel = 0.0 if abs0 == 0.0 else a / abs0
+        wall = (time.perf_counter() - t0) * 1e3
+        records.append(TraceRecord(iterations, estimator.calls, a, rel, wall))
+        return rel
 
-    records: List[TraceRecord] = []
-    abs0 = residual_at(x)
-    rel0 = 0.0 if abs0 == 0.0 else 1.0
-    records.append(TraceRecord(0, estimator.calls, abs0, rel0, 0.0))
-    next_call_mark = None
-    if config.record_calls is not None:
-        next_call_mark = estimator.calls + config.record_calls
+    next_call_mark = None if config.record_calls is None \
+        else estimator.calls + config.record_calls
 
     iterations = 0
     for k in range(config.max_iters):
         x_next = apply_resolvent(problem.resolvent, x - eta * s_tilde, eta)
         # a nan or inf entry makes the norm nan or inf: one test for both
         if not math.sqrt(x_next @ x_next) <= DIVERGENCE_NORM:
-            trace = RunTrace(records, x, reservoir, iterations, estimator.calls)
+            trace = RunTrace(records, x, iterations, estimator.calls)
             raise DivergenceError(
                 f"divergence at iteration {k + 1}", trace=trace)
         iterations = k + 1
         x2, x1, x = x1, x, x_next
-        # single-slot uniform reservoir over {x_0, ..., x_{k+1}}
-        if reservoir_rng.random() < 1.0 / (iterations + 1):
-            reservoir = x.copy()
 
-        due = iterations % config.record_every == 0
-        if next_call_mark is not None and estimator.calls >= next_call_mark:
-            due = True
-        stopping = False
-        if due:
-            a = residual_at(x)
-            rel = 0.0 if abs0 == 0.0 else a / abs0
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(TraceRecord(iterations, estimator.calls, a, rel, wall))
-            if next_call_mark is not None and estimator.calls >= next_call_mark:
+        crossed_mark = next_call_mark is not None \
+            and estimator.calls >= next_call_mark
+        if crossed_mark or iterations % config.record_every == 0:
+            rel = record()
+            if crossed_mark:
                 # pass every crossed mark at once: adding a record_calls
                 # below the mark's float spacing would never pass one.  The
                 # cap holds if the quotient overflows to inf.
@@ -223,17 +207,14 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
                     next_call_mark + crossed * config.record_calls,
                     estimator.calls + config.record_calls)
             if config.stop_tol > 0.0 and rel <= config.stop_tol:
-                stopping = True
-        if stopping or iterations >= config.max_iters:
+                break
+        if iterations >= config.max_iters:
             break
         if config.max_calls is not None and estimator.calls >= config.max_calls:
             break
         s_tilde, _ = estimator_step(estimator, x, x1, x2)
 
     if records[-1].iteration != iterations:
-        a = residual_at(x)
-        rel = 0.0 if abs0 == 0.0 else a / abs0
-        wall = (time.perf_counter() - t0) * 1e3
-        records.append(TraceRecord(iterations, estimator.calls, a, rel, wall))
+        record()
 
-    return RunTrace(records, x.copy(), reservoir, iterations, estimator.calls)
+    return RunTrace(records, x.copy(), iterations, estimator.calls)

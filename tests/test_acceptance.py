@@ -149,7 +149,7 @@ def test_convergence_regression(monotone_instance):
     parameters to 1e-6 within a 200-epoch budget (10-seed mean)."""
     prob = monotone_instance
     n = prob.n_components
-    eta = theory_stepsize(prob.lipschitz, 0.0, "unbiased", safety=0.99)
+    eta = theory_stepsize(prob.lipschitz, 0.0, "unbiased")
     assert eta == pytest.approx(0.99 / (3 * math.sqrt(2) * prob.lipschitz))
 
     est = make_estimator("full", EstimatorParams(), prob, np.ones(50), seed=0)

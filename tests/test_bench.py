@@ -204,15 +204,23 @@ def test_cli_bad_params_exit_before_any_cell(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("kind", ["svrg", "saga", "sarah", "hsgd", "hsvrg"])
 def test_cli_default_batch_of_zero_exits_before_any_cell(tmp_path, capsys,
                                                          monkeypatch, kind):
-    """default:experiment sizes b from n, which gives b = 0 on a two-component
-    toy; that is exit 2 naming the algorithm and b when the config is read,
-    before the cell ahead of it runs."""
+    """default:experiment's int(0.5 n^{2/3}) and int(0.25 n^{3/4}) are 0 on
+    a two-component toy; both default profiles raise b to at least 1, so
+    the config is accepted.  An explicit b = 0 is exit 2 naming the
+    algorithm and b when the config is read, before the cell ahead of it
+    runs."""
     cells = []
     monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
     cfg = toy_config(algorithms=[{"estimator": "full", "params": {}},
                                  {"name": f"my-{kind}", "estimator": kind,
                                   "params": "default:experiment"}])
     cfg["problem"]["components"] = 2
+    for profile in ("default:experiment", "default:theory"):
+        cfg["algorithms"][1]["params"] = profile
+        load_config(cfg)
+    cfg["algorithms"][1]["params"] = dict(
+        {"b": 0}, **{name: 0.5 for name in ("p_switch", "omega")
+                     if name in bench._params_table(kind)})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli_main(["run", "--config", str(cfg_path),
@@ -220,9 +228,6 @@ def test_cli_default_batch_of_zero_exits_before_any_cell(tmp_path, capsys,
     assert cells == []
     err = capsys.readouterr().err
     assert f"'my-{kind}'" in err and "b = 0" in err
-    # the theory profile clamps b to [1, n], so it is accepted
-    cfg["algorithms"][1]["params"] = "default:theory"
-    load_config(cfg)
 
 
 @pytest.mark.parametrize("field", ["experiment_id", "name"])
@@ -754,7 +759,7 @@ def test_cli_mega_batch_above_n_exits_before_any_cell(tmp_path, capsys,
 
 
 _RANGE_VIOLATIONS = {
-    "b-zero-default": ("b", "svrg", "default:experiment", 2),
+    "b-zero": ("b", "svrg", {"b": 0, "p_switch": 0.5}, 12),
     "b-above-n": ("b", "saga", {"b": 13}, 12),
     "p_switch-zero": ("p_switch", "svrg", {"b": 2, "p_switch": 0.0}, 12),
     "p_switch-above-1": ("p_switch", "sarah", {"b": 2, "p_switch": 1.5}, 12),

@@ -323,6 +323,27 @@ def test_saga_running_mean_stays_synced():
         assert err <= 1e-8 * (1 + np.linalg.norm(exact))
 
 
+def test_saga_resyncs_its_running_mean_at_multiples_of_512():
+    """At steps k = 512 and 1024 the running table mean is recomputed from
+    the table, bit for bit; in between it is updated from the rows."""
+    prob = components_only_problem(n=8)
+    rng = np.random.default_rng(4)
+    x2 = x1 = np.zeros(3)
+    st_ = make_estimator("saga", EstimatorParams(b=3), prob, x1, seed=2)
+    synced = []
+    for k in range(1, 1025):
+        x = x1 + 0.1 * rng.standard_normal(3)
+        estimator_step(st_, x, x1, x2)
+        x2, x1 = x1, x
+        assert st_.k == k
+        if np.array_equal(st_.table_mean, st_.table.mean(axis=0)):
+            synced.append(k)
+    # the running updates drift in the last bits, so the steps just
+    # before a resync differ from the recomputed mean
+    assert {512, 1024} <= set(synced)
+    assert not {511, 1023} & set(synced)
+
+
 def test_sarah_always_switch_is_exact():
     prob = components_only_problem()
     x0 = np.zeros(3)

@@ -143,19 +143,12 @@ def test_sgd_adaptive_batch_rule():
     noise, dim = 1.0, 3
     problem, _, _ = gaussian_affine_oracle(dim=dim, noise=noise)
     sigma2 = noise * noise * dim
-    params = EstimatorParams(sigma2=sigma2,
-                             delta_schedule=lambda k: 0.1 / (k + 1) ** 2)
-    st = make_estimator("sgd", params, problem, np.zeros(3), seed=0)
-    st.k = 3
     x2 = np.zeros(3)
     x1 = np.array([0.1, 0.0, 0.0])
     x = np.array([0.2, 0.0, 0.0])
-    b = _sgd_batch_size(st, x, x1, x2)
     L2 = problem.lipschitz ** 2
-    denom = 0.5 * L2 * 0.01 + 0.5 * L2 * 0.01 + 0.1 / 16.0
-    assert b == int(np.ceil(sigma2 / denom))
 
-    # default slack schedule: L^2 / (k+1)^2
+    # slack delta_k = L^2 / (k+1)^2
     params2 = EstimatorParams(sigma2=sigma2)
     st2 = make_estimator("sgd", params2, problem, np.zeros(3), seed=0)
     st2.k = 1

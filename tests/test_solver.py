@@ -67,7 +67,7 @@ def test_feasibility_preserved_under_projection():
 
 def test_run_deterministic_byte_for_byte():
     prob = linear_toy(n=6, dim=4, seed=1)
-    cfg = SolverConfig(eta=0.1, max_iters=40, seed=5)
+    cfg = SolverConfig(eta=0.1, max_iters=40)
 
     def go():
         est = make_estimator("svrg", EstimatorParams(b=2, p_switch=0.4),
@@ -76,7 +76,6 @@ def test_run_deterministic_byte_for_byte():
 
     t1, t2 = go(), go()
     assert np.array_equal(t1.final_x, t2.final_x)
-    assert np.array_equal(t1.best_iterate, t2.best_iterate)
     assert [r.abs_residual for r in t1.records] == \
         [r.abs_residual for r in t2.records]
     assert [r.oracle_calls for r in t1.records] == \
@@ -155,62 +154,6 @@ def test_monotone_convergence_certificate():
     trace = run(prob, est, SolverConfig(eta=eta, max_iters=10 ** 4,
                                         record_every=500, stop_tol=1e-7))
     assert trace.records[-1].rel_residual <= 1e-6
-
-
-# --- best iterate -----------------------------------------------------------
-
-def test_best_iterate_no_steps_returns_x0():
-    prob = scalar_identity_problem()
-    est = make_full(prob, [1.0])
-    trace = run(prob, est, SolverConfig(eta=0.1, max_iters=0))
-    assert trace.best_iterate == pytest.approx([1.0])
-
-
-def test_best_iterate_uniform_over_two_iterates():
-    prob = scalar_identity_problem()
-    hits = 0
-    reps = 2000
-    for s in range(reps):
-        est = make_full(prob, [1.0])
-        trace = run(prob, est, SolverConfig(eta=0.1, max_iters=1, seed=s))
-        if trace.best_iterate == pytest.approx([1.0]):
-            hits += 1
-    freq = hits / reps
-    assert 0.44 <= freq <= 0.56
-
-
-def test_best_iterate_replay_deterministic():
-    prob = linear_toy(n=3, dim=2, seed=0)
-
-    def go():
-        est = make_full(prob, np.ones(2), seed=1)
-        return run(prob, est,
-                   SolverConfig(eta=0.1, max_iters=20, seed=42)).best_iterate
-
-    assert np.array_equal(go(), go())
-
-
-def test_best_iterate_uniform_chi_square():
-    # K = 4 steps -> 5 candidates; frequencies should be near-uniform
-    prob = scalar_identity_problem()
-    counts = np.zeros(5)
-    reps = 3000
-    for s in range(reps):
-        est = make_full(prob, [1.0])
-        trace = run(prob, est, SolverConfig(eta=0.1, max_iters=4, seed=s))
-        chosen = trace.best_iterate[0]
-        # iterates are distinct scalars; match against the trajectory
-        traj = [1.0]
-        xp, xc = 1.0, 1.0
-        for _ in range(4):
-            xn = xc - 0.1 * (2 * xc - xp)
-            xp, xc = xc, xn
-            traj.append(xn)
-        j = int(np.argmin([abs(chosen - t) for t in traj]))
-        counts[j] += 1
-    expected = reps / 5
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    assert chi2 < 18.47  # chi-square(4 dof) at the 0.1% level
 
 
 def test_run_rejects_advanced_estimator():

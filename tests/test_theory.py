@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import re
 import sys
@@ -9,17 +11,17 @@ from hypothesis import strategies as st
 from vrfrbs.core import InfeasibleParametersError, UnsupportedConfigError
 from vrfrbs.estimators import (KINDS, EstimatorParams, check_params,
                                default_params, sizing_rule_sides, theory_card)
-from vrfrbs.solver import theory_stepsize, validate_rates
+from vrfrbs.solver import SolverConfig, theory_stepsize, validate_rates
 
 
 def test_stepsize_unbiased_value():
-    eta = theory_stepsize(1.0, 0.0, "unbiased", safety=0.99)
+    eta = theory_stepsize(1.0, 0.0, "unbiased")
     assert eta == pytest.approx(0.99 / (3.0 * math.sqrt(2.0)))
     assert eta == pytest.approx(0.23335, abs=1e-5)
 
 
 def test_stepsize_biased_value():
-    eta = theory_stepsize(1.0, 0.0, "biased", safety=0.99)
+    eta = theory_stepsize(1.0, 0.0, "biased")
     assert eta == pytest.approx(0.99 / math.sqrt(134.0))
     assert eta == pytest.approx(0.08552, abs=1e-5)
 
@@ -31,11 +33,11 @@ def test_stepsize_infeasible():
 
 
 def test_stepsize_clamps_to_lower_bound():
-    # feasible but safety * upper < 8 rho: returned eta sits at the floor
-    rho = 0.029
-    eta = theory_stepsize(1.0, rho, "unbiased", safety=0.9)
-    assert eta == pytest.approx(max(8 * rho, 0.9 / (3 * math.sqrt(2.0))))
-    assert eta >= 8 * rho
+    # feasible but 0.99 * upper < 8 rho: returned eta sits at the floor
+    rho = 0.0293
+    assert 0.99 / (3 * math.sqrt(2.0)) < 8 * rho < 1 / (3 * math.sqrt(2.0))
+    eta = theory_stepsize(1.0, rho, "unbiased")
+    assert eta == 8 * rho
 
 
 # --- theory cards ----------------------------------------------------------
@@ -229,11 +231,38 @@ def test_default_theory_satisfies_conditions_when_unclamped():
 
 
 def test_default_expectation_setting_needs_epsilon():
-    with pytest.raises(ValueError):
-        default_params("svrg", setting="E", profile="theory")
-    params = default_params("svrg", setting="E", epsilon=0.1, profile="theory")
+    with pytest.raises(ValueError, match="^epsilon = None"):
+        default_params("svrg", profile="theory")
+    params = default_params("svrg", epsilon=0.1, profile="theory")
     assert params.mega_batch == 100
     assert params.p_switch == pytest.approx(0.1 ** (2 / 3))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_experiment_defaults_pass_check_params(kind):
+    """Even a sum of one component gets a batch of at least 1."""
+    for n in range(1, 9):
+        check_params(kind, default_params(kind, n), n)
+
+
+@pytest.mark.parametrize("setting, names", [
+    (SolverConfig, ["eta", "max_iters", "record_every", "record_calls",
+                    "stop_tol", "max_calls"]),
+    (EstimatorParams, ["b", "b_schedule", "p_switch", "omega", "mega_batch",
+                       "share_batches", "sigma2"]),
+    (theory_stepsize, ["L", "rho", "estimator_class"]),
+    (default_params, ["kind", "n", "epsilon", "profile"]),
+], ids=["SolverConfig", "EstimatorParams", "theory_stepsize",
+        "default_params"])
+def test_public_settings_are_pinned(setting, names):
+    """Every settable value listed here has a reader in the program; a
+    field or argument that only tests set is a knob nothing uses.  Adding
+    one updates this pin."""
+    if dataclasses.is_dataclass(setting):
+        got = [f.name for f in dataclasses.fields(setting)]
+    else:
+        got = list(inspect.signature(setting).parameters)
+    assert got == names
 
 
 def test_default_saga_theory_on_an_oracle_is_unsupported():
@@ -241,7 +270,7 @@ def test_default_saga_theory_on_an_oracle_is_unsupported():
     refusal is check_params's."""
     with pytest.raises(UnsupportedConfigError,
                        match="saga needs a finite-sum operator"):
-        default_params("saga", setting="E", epsilon=0.1, profile="theory")
+        default_params("saga", epsilon=0.1, profile="theory")
 
 
 def _contract_calls():
@@ -269,8 +298,8 @@ def _contract_calls():
                 id=f"{fn.__name__}-{kind}-b0")
     for kind in ("full", "saga"):
         yield pytest.param(
-            lambda kind=kind: default_params(kind, setting="E",
-                                             profile="theory", epsilon=0.1),
+            lambda kind=kind: default_params(kind, profile="theory",
+                                             epsilon=0.1),
             UnsupportedConfigError, f"{kind} needs a finite-sum operator",
             id=f"default_params-{kind}")
     yield pytest.param(
@@ -288,11 +317,11 @@ def test_contract_errors_are_check_params_errors(call, error, message):
 
 @pytest.mark.parametrize("call, name", [
     pytest.param(lambda eps=eps: default_params(
-        "svrg", setting="E", profile="theory", epsilon=eps),
+        "svrg", profile="theory", epsilon=eps),
         "epsilon", id=f"svrg-{eps}")
     for eps in (0.0, 1e-300, 1e-160, -1.0)] + [
-    pytest.param(lambda: default_params("sarah", setting="E",
-                                        profile="theory", epsilon=1e-100),
+    pytest.param(lambda: default_params("sarah", profile="theory",
+                                        epsilon=1e-100),
                  "epsilon", id="sarah-1e-100"),
     pytest.param(lambda: theory_stepsize(float("nan")), "L",
                  id="stepsize-nan"),
@@ -334,11 +363,10 @@ _POSITIVE = _or_edge(st.floats(1e-3, 1e3))
            sigma2=_or_edge(st.floats(0.0, 10.0))),
        L=_POSITIVE, n=_or_edge(st.integers(1, 10 ** 7)), eta=_POSITIVE,
        rho=_or_edge(st.floats(0.0, 1e-2)), epsilon=_RATE,
-       setting=st.sampled_from(["F", "E"]),
        profile=st.sampled_from(["experiment", "theory"]),
        biased=st.booleans())
 def test_theory_functions_return_or_raise_value_errors(
-        kind, params, L, n, eta, rho, epsilon, setting, profile, biased):
+        kind, params, L, n, eta, rho, epsilon, profile, biased):
     """theory_card, sizing_rule_sides, validate_rates, default_params and
     theory_stepsize return or raise a ValueError subclass whatever they are
     given; none escapes with TypeError, ZeroDivisionError or
@@ -354,8 +382,7 @@ def test_theory_functions_return_or_raise_value_errors(
     attempt(sizing_rule_sides, kind, params, L, n=n)
     if card is not None:
         attempt(validate_rates, card, L, eta)
-    attempt(default_params, kind, n=n, setting=setting, epsilon=epsilon,
-            profile=profile)
+    attempt(default_params, kind, n=n, epsilon=epsilon, profile=profile)
     step = attempt(theory_stepsize, L, rho,
                    "biased" if biased else "unbiased")
     assert step is None or (math.isfinite(step) and step > 0)
