@@ -11,6 +11,11 @@ whose outputs are written.  OUT then holds
                        DESK_EPOCHS["policy_eval_desk"] epochs
     auc_desk/          scripts/configs/auc_desk.json at DESK_EPOCHS["auc_desk"]
                        epochs
+    affine_matrix/     scripts/configs/affine_matrix.json at
+                       DESK_EPOCHS["affine_matrix"] epochs: every estimator
+                       kind on a 4000-component affine toy, where sgd's
+                       schedule and the default:theory svrg cell (b = n)
+                       take RowOperator's dense path (m >= n // 4)
     verify.txt         `vrfrbs verify` for every estimator kind at each of
                        VERIFY_SEEDS and VERIFY_TRIALS trials: per run, one
                        line naming it and its exit code, then its report
@@ -20,12 +25,13 @@ whose outputs are written.  OUT then holds
                        build config, every *_NUM_THREADS variable and the
                        number of usable CPUs (nproc)
 
-Both desk runs use seeds DESK_SEEDS and "timing": "off", so a rerun with
-the same numpy, BLAS and thread count writes the same bytes.  Compare two
-such directories A and B with
+The three matrix runs use seeds DESK_SEEDS and "timing": "off", so a
+rerun with the same numpy, BLAS and thread count writes the same bytes.
+Compare two such directories A and B with
 
     python scripts/compare_runs.py A/policy_eval_desk B/policy_eval_desk
     python scripts/compare_runs.py A/auc_desk B/auc_desk
+    python scripts/compare_runs.py A/affine_matrix B/affine_matrix
     cmp A/verify.txt B/verify.txt
 """
 
@@ -45,7 +51,7 @@ from vrfrbs.cli import main as cli_main
 from vrfrbs.estimators import KINDS
 
 CONFIGS = Path(__file__).resolve().parent / "configs"
-DESK_EPOCHS = {"policy_eval_desk": 300, "auc_desk": 100}
+DESK_EPOCHS = {"policy_eval_desk": 300, "auc_desk": 100, "affine_matrix": 20}
 DESK_SEEDS = [0, 1]
 VERIFY_SEEDS = (0, 1)
 VERIFY_TRIALS = 100_000

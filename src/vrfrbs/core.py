@@ -112,7 +112,8 @@ class RowOperator:
     coefficient itself into the single coordinate slot_k.  Blocks may
     share slots; their contributions add.  An evaluation gathers the
     selected rows once, for all blocks and, for a stack of points, for
-    all points, and scores every point with its own matrix-vector
+    all points, or reads all n rows in place on the dense path of
+    `batch_mean`.  It scores every point with its own matrix-vector
     product, so a point's scores have the same bits in a stack as on
     their own.
 
@@ -131,7 +132,9 @@ class RowOperator:
             coefficient array (m,).  For a (P, dim) stack of points x is
             handed over coordinate-major as (dim, P, 1), so that x[k] is
             a (P, 1) column; sel is (P, m) and each score and coefficient
-            array (P, m).  An elementwise formula serves both.
+            array (P, m).  On the dense path sel is slice(None) and m is
+            n, for one point and for a stack.  An elementwise formula
+            serves all of these.
         full_eval: closed form for the exact mean.  Epoch accounting still
             charges n per full evaluation.
         common: optional term shared by every component; maps a point or a
@@ -178,7 +181,8 @@ class RowOperator:
             if part is None:
                 scores.append(None)
             elif stacked:
-                # (P, m, w) @ (P, w, 1): one matrix-vector product per point
+                # (P, m, w) @ (P, w, 1), or the dense path's (n, w) rows
+                # against it: one matrix-vector product per point
                 scores.append((R @ x[:, part, None])[..., 0])
             else:
                 scores.append(R @ x[part])
@@ -207,8 +211,11 @@ class RowOperator:
         """Mean of the components in `idx` at `x`; for a (P, dim) stack of
         points, one mean per point over its own part of `idx`.
 
-        Every product is one matrix-vector product per point and block, so
-        a point's mean has the same bits in a stack as on its own.
+        Scores are one matrix-vector product per point and block.  So are
+        the weighted sums on the gather path (m < n // 4), where a point's
+        mean has the same bits in a stack as on its own; a dense stack
+        sums each block in one (P, n) @ (n, w) product, which moves the
+        bits of its means at rounding level.
         """
         stacked = x.ndim == 2
         m = len(idx) // len(x) if stacked else len(idx)
@@ -217,17 +224,17 @@ class RowOperator:
             # a stack gathers its P batches at once as (P, m, W)
             rows, coefs = self._select(
                 x, idx.reshape(len(x), m) if stacked else idx)
-        elif stacked:
-            # one point at a time: the products read all n rows for every
-            # point either way, and a stack's (P, n) temporaries measured
-            # no faster at n = 2000 and up to 40% slower at n = 125000
-            return _part_means(self.batch_mean, x, idx)
         else:
-            # large batches: every row weighted by its multiplicity, which
-            # reads the blocks sequentially instead of gathering rows
-            counts = np.bincount(idx, minlength=self.n).astype(float)
+            # large batches: every row weighted by its multiplicity in each
+            # point's part, which reads the blocks sequentially instead of
+            # gathering rows; one bincount per part, as the parts may differ
+            parts = idx.reshape(len(x), m) if stacked else idx[None]
+            counts = np.empty((len(parts), self.n))
+            for p, part in enumerate(parts):
+                counts[p] = np.bincount(part, minlength=self.n)
             rows, coefs = self._select(x, slice(None))
-            coefs = tuple(counts * c for c in coefs)
+            coefs = tuple((counts if stacked else counts[0]) * c
+                          for c in coefs)
         out = np.zeros(x.shape)
         if self.common is not None:
             out += self.common(x)
@@ -235,12 +242,14 @@ class RowOperator:
                                              self._writes_first):
             if R is None:
                 total = c.sum(axis=-1)
-            elif stacked:
-                # c_p^T R_p for each point p: a (P, 1, m) @ (P, m, w) stack
-                # of vector-matrix products
+            elif R.ndim == 3:
+                # a gathered stack: c_p^T R_p for each point p, a
+                # (P, 1, m) @ (P, m, w) stack of vector-matrix products
                 total = (c[:, None, :] @ R)[:, 0]
             else:
-                total = R.T @ c
+                # (P, n) @ (n, w) for a dense stack; for one point the
+                # vector-matrix product R.T @ c, with the same bits
+                total = c @ R
             if first:
                 np.divide(total, m, out=out[..., slot])
             else:

@@ -513,9 +513,8 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
 
     Each batch mean is evaluated once and held in a local: the snapshot
     term reuses G_B(x_{k-1}) right after a refresh, and shared hybrid
-    batches reuse the recursion's G_B(x_k) and G_B(x_{k-1}).  Except for
-    sgd's, the points evaluated on one batch go to the operator in one
-    stacked call.
+    batches reuse the recursion's G_B(x_k) and G_B(x_{k-1}).  The points
+    evaluated on one batch go to the operator in one stacked call.
     """
     kind, pm = state.kind, state.params
     ev = _StepEval(state, trials)
@@ -526,11 +525,8 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         value = 2.0 * gx - gx1
 
     elif kind == SGD:
-        # one call per point: the growing batch soon takes the dense path,
-        # where a stacked call evaluates point by point anyway and its
-        # bookkeeping made sgd slower on policy evaluation
-        idx = draws["batch"]
-        value = 2.0 * ev.mean(x, idx) - ev.mean(x1, idx)
+        gx, gx1 = ev.means((x, x1), draws["batch"])
+        value = 2.0 * gx - gx1
 
     elif kind == SVRG:
         refresh = _snapshot_coin(ev, x1, draws)
@@ -757,8 +753,13 @@ def sizing_rule_sides(kind: str, params: EstimatorParams, L: float,
     This is the design rule behind `default_params(profile="theory")`: the
     step-size condition with the bookkeeping simplifications used when the
     batch sizes were derived (kappa halved for sarah, (1-p) and (1-omega)^2
-    factors dropped).  lhs >= rhs means the sized parameters are admissible;
-    the rule is exactly tight at the published batch choices.
+    factors dropped).  lhs >= rhs means the sized parameters are admissible.
+    The rule is tight (lhs/rhs = 1 up to the ceiling of b) at the theory
+    profile's unclamped batches for svrg, saga and sarah only.  hsgd's
+    batch keeps the (1-omega)^2 factor that the rule drops, so there
+    lhs/rhs = (1-omega)^2 (0.988785 at n = 10^9).  hsvrg's batch
+    112640 n^{3/4} is clamped to n for every n below about 1.6e20, and
+    the rule fails there.
     """
     _check_card_args(kind, params, L, n)
     L2 = L * L

@@ -490,6 +490,38 @@ def test_call_accounting_matches_instrumented_operator(kind, extra, build):
     assert st_.calls == wrapped.observed
 
 
+def test_sgd_evaluates_both_points_in_one_stacked_call():
+    """Each sgd step asks the operator for G_B(x_k) and G_B(x_{k-1}) in one
+    batch_mean call on a (2, dim) stack with its batch twice, 2 b_k
+    indices, and is charged exactly those 2 b_k calls.  The schedule grows
+    b_k from 3 to 32 of n = 40, across the n // 4 switch from the gather
+    path to the dense path."""
+    prob, wrapped = instrumented_problem(
+        strongly_monotone_affine(dim=3, n_components=40, seed=2))
+    seen = []
+    batch_mean = wrapped.batch_mean
+
+    def spy(x, idx):
+        seen.append((x.shape, len(idx)))
+        return batch_mean(x, idx)
+
+    wrapped.batch_mean = spy
+    schedule = estimators.increasing_batch_schedule(40, coeff=0.05)
+    st_ = make_estimator("sgd", EstimatorParams(b_schedule=schedule), prob,
+                         np.zeros(3), seed=3)
+    rng = np.random.default_rng(5)
+    pts = [np.zeros(3)]
+    for k in range(1, 41):
+        pts.append(pts[-1] + 0.3 * rng.standard_normal(3))
+        seen.clear()
+        before = wrapped.observed
+        _, calls = estimator_step(st_, pts[k], pts[k - 1], pts[max(k - 2, 0)])
+        b = schedule(k)
+        assert seen == [((2, 3), 2 * b)], k
+        assert calls == wrapped.observed - before == 2 * b, k
+    assert schedule(1) < 40 // 4 < schedule(40)
+
+
 # (iterations, oracle_calls, final_rel_residual) of every cell of a 10-epoch
 # affine-toy matrix (n = 30, budget 300 calls).  The call audit above passes
 # when a shared batch mean is evaluated and charged twice; these counts do

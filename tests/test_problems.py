@@ -604,7 +604,14 @@ def _stack_operator(family):
                                     "linear-toy", "oracle"])
 def test_stacked_batch_mean_equals_per_point_calls(family):
     """A (P, dim) stack of points with P batches back to back gives each
-    point's own batch mean bit for bit, P = 1 included."""
+    point's own batch mean, bit for bit on the gather path and for P = 1.
+
+    A RowOperator's dense path (m >= n // 4) sums a stack of P >= 2 points
+    in one (P, n) @ (n, w) product where a one-point call makes a
+    vector-matrix product, and the two add the n terms in different
+    orders; at these sizes (n <= 40) that moves a mean by at most a few
+    ulps of its largest entry, so those means must agree to within
+    1e-12 * max|mean|."""
     op = _stack_operator(family)
     n = op.n
     rng = np.random.default_rng(4)
@@ -620,9 +627,12 @@ def test_stacked_batch_mean_equals_per_point_calls(family):
                 parts[1] = parts[0]  # two points on one batch, as in a step
             got = op.batch_mean(X, np.concatenate(parts))
             assert got.shape == (P, op.dim)
-            for p in range(P):
-                assert np.array_equal(got[p], op.batch_mean(X[p], parts[p])), \
-                    (m, P, p)
+            want = np.array([op.batch_mean(X[p], parts[p]) for p in range(P)])
+            if P > 1 and isinstance(op, RowOperator) and m >= n // 4:
+                bound = 1e-12 * np.abs(want).max()
+                assert np.abs(got - want).max() <= bound, (m, P)
+            else:
+                assert np.array_equal(got, want), (m, P)
 
 
 # --- dense affine toys -------------------------------------------------------

@@ -139,15 +139,16 @@ def test_compare_runs_reads_non_finite_strings_as_floats(toy_run, tmp_path,
 def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):
     reference = _load_script("reference_outputs.py")
     monkeypatch.setattr(reference, "DESK_EPOCHS",
-                        {"policy_eval_desk": 3, "auc_desk": 2})
+                        {"policy_eval_desk": 3, "auc_desk": 2,
+                         "affine_matrix": 2})
     monkeypatch.setattr(reference, "VERIFY_TRIALS", 2_000)
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
         assert reference.main([str(out)]) == 0
     files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*")
                    if p.is_file())
-    # verify.txt, numeric_env.json and three files per desk config
-    assert len(files) == 8
+    # verify.txt, numeric_env.json and three files per matrix config
+    assert len(files) == 11
     for rel in files:
         assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes()
     lines = (runs[0] / "verify.txt").read_text().splitlines()

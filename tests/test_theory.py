@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrfrbs.core import InfeasibleParametersError, UnsupportedConfigError
-from vrfrbs.estimators import (KINDS, EstimatorParams, check_params,
-                               default_params, sizing_rule_sides, theory_card)
+from vrfrbs.estimators import (KINDS, EstimatorParams, TheoryCard,
+                               check_params, default_params,
+                               sizing_rule_sides, theory_card)
 from vrfrbs.solver import SolverConfig, theory_stepsize, validate_rates
 
 
@@ -171,6 +172,48 @@ def test_svrg_sizing_rule_boundary():
     b = 40.0 / p ** 2
     lhs, rhs = sizing_rule_sides("svrg", EstimatorParams(b=b, p_switch=p), L)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_sizing_rule_ratios_at_the_theory_profile():
+    """lhs/rhs of the design rule at default_params(profile="theory") on
+    n = 10^9, where no batch but hsvrg's is clamped: 1 for svrg, saga and
+    sarah, (1 - omega)^2 for hsgd, whose batch keeps that factor, and far
+    below 1 for hsvrg, whose batch 112640 n^{3/4} is clamped to n."""
+    n = 10 ** 9
+    ratio = {}
+    for kind in ("svrg", "saga", "sarah", "hsgd", "hsvrg"):
+        params = default_params(kind, n=n, profile="theory")
+        lhs, rhs = sizing_rule_sides(kind, params, 1.0, n=n)
+        ratio[kind] = lhs / rhs
+    for kind in ("svrg", "saga", "sarah"):
+        assert ratio[kind] == pytest.approx(1.0, rel=1e-6), kind
+    omega = default_params("hsgd", n=n, profile="theory").omega
+    assert ratio["hsgd"] == pytest.approx((1.0 - omega) ** 2, rel=1e-8)
+    assert ratio["hsgd"] == pytest.approx(0.988785, abs=1e-6)
+    assert default_params("hsvrg", n=n, profile="theory").b == n
+    assert 112_640 * n ** 0.75 > n and ratio["hsvrg"] < 0.01
+
+
+@pytest.mark.parametrize("biased", [False, True], ids=["unbiased", "biased"])
+def test_validate_rates_sides_of_the_variance_condition(biased):
+    """Hand-built cards just inside and just outside the variance
+    condition: kappa L^2 >= Theta + Theta_hat for an unbiased card,
+    4 L^2 tau^2 kappa >= 22 (Theta + Theta_hat) for a biased one.  A card
+    whose Theta + Theta_hat is 1e-9 relative below the boundary passes and
+    one 1e-9 above fails, so both the factor 22 and the direction of each
+    inequality are tested."""
+    L, tau, kappa = 1.5, 0.4, 0.3
+    lhs = 4.0 * L * L * tau ** 2 * kappa if biased else kappa * L * L
+    at_boundary = lhs / 22.0 if biased else lhs   # Theta + Theta_hat
+    for scale, passed in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        total = scale * at_boundary
+        card = TheoryCard(tau, kappa, 0.75 * total, 0.25 * total,
+                          lambda k: 0.0, biased=biased)
+        step, cond = validate_rates(card, L, eta=0.01)
+        assert step.passed
+        assert cond.lhs == pytest.approx(lhs, rel=1e-15)
+        assert cond.rhs == pytest.approx(scale * lhs, rel=1e-15)
+        assert cond.passed is passed, scale
 
 
 def test_validate_biased_condition_uses_lemma_constants():

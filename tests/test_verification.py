@@ -127,6 +127,45 @@ def test_biased_mc_smoke(kind, params):
     assert rep.passed, rep.to_line()
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("sarah", EstimatorParams(b=4, p_switch=0.4)),
+    ("hsgd", EstimatorParams(b=4, omega=0.5)),
+    ("hsvrg", EstimatorParams(b=4, p_switch=0.4, omega=0.5)),
+])
+def test_bias_recursion_rejects_a_wrong_previous_error(kind, params):
+    """Negative control at the default 4-sigma threshold: adding 0.25 to
+    every coordinate of e_{k-1} moves the target (1 - tau) e_{k-1} away
+    from the realized mean error by 14-43 standard errors at 2000 trials
+    (sarah 43.2, hsgd 14.5, hsvrg 28.5), and the check must say so; the
+    unperturbed history passes on the same draws."""
+    hist = history_for(kind, params)
+    assert check_bias_recursion(hist, trials=2000, seed=5).passed
+    wrong = dataclasses.replace(hist, e_prev=hist.e_prev + 0.25)
+    rep = check_bias_recursion(wrong, trials=2000, seed=5)
+    assert not rep.passed
+    assert 10.0 < rep.margin_sigmas < 100.0, rep.to_line()
+
+
+def test_std_error_is_the_standard_error_of_the_sample_mean():
+    """A vector check's std_error is sqrt(sum_j var_j / count) over the
+    coordinates j of the trial errors, and the variance check's is
+    std(ddof=1) / sqrt(count) of the squared error norms, both with the
+    unbiased (count - 1) variance, which differs from the count one by
+    1% at 50 trials."""
+    trials, seed = 50, 3
+    hist = history_for("svrg", EstimatorParams(b=2, p_switch=0.4))
+    err = np.concatenate(list(_mc_error_chunks(hist, trials, seed)))
+    assert err.shape == (trials, hist.problem.dim)
+    rep = check_unbiased(hist, trials=trials, seed=seed)
+    var = np.var(err, axis=0, ddof=1)
+    assert rep.std_error == pytest.approx(np.sqrt(var.sum() / trials),
+                                          rel=1e-12)
+    sq = np.einsum("ij,ij->i", err, err)
+    rep = check_variance_recursion(hist, trials=trials, seed=seed)
+    assert rep.std_error == pytest.approx(
+        np.std(sq, ddof=1) / np.sqrt(trials), rel=1e-12)
+
+
 @pytest.mark.parametrize("trials", [1, 0, -5])
 def test_monte_carlo_checks_need_two_trials(trials):
     svrg = history_for("svrg", EstimatorParams(b=1, p_switch=0.3), n=5)
