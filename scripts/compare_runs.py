@@ -22,6 +22,12 @@ sets the exit status.  Exit status: 0 when all three files have identical
 bytes, 1 when every change is within REL_TOL relative, 2 for a larger
 change or a structural difference (a missing file, another header, row
 count, key, count or JSON shape).
+
+The manifest's "numeric_env" record (Python, numpy and BLAS versions,
+thread variables, CPU count) says what the bytes depend on, not what the
+program computed.  It is reported apart from the numbers, entry by entry,
+and never sets the exit status: two manifests that differ only there count
+as identical.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ FLOAT_COLUMNS = ("rel_residual", "abs_residual", "wall_ms",
 REL_TOL = 1e-9
 # the manifest's strings for non-finite floats
 NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+# the manifest's record of what its bytes depend on (bench.numeric_env)
+ENV_KEY = "numeric_env"
 
 
 class Structural(Exception):
@@ -113,13 +121,36 @@ def _walk(a, b, path, changes):
         raise Structural(f"{path}: {a!r} != {b!r}")
 
 
+def read_manifest(path: Path) -> tuple:
+    """A manifest's document without its numeric_env record, and the record
+    (None when it has none)."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    return doc, doc.pop(ENV_KEY, None) if isinstance(doc, dict) else None
+
+
+def _entries(value, path=""):
+    if not isinstance(value, dict):
+        return {path: value}
+    return {key: item for name, sub in value.items()
+            for key, item in _entries(sub, f"{path}.{name}" if path else name)
+            .items()}
+
+
+def env_differences(env_a, env_b) -> list:
+    """The numeric_env entries that differ, as "entry: a != b" lines."""
+    if (env_a is None) != (env_b is None):
+        return [f"absent in {'A' if env_a is None else 'B'}"]
+    a, b = _entries(env_a or {}), _entries(env_b or {})
+    return [f"{key}: {a.get(key)!r} != {b.get(key)!r}"
+            for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
 def compare_json(path_a: Path, path_b: Path) -> dict:
     """Largest (relative, absolute) change per float field (list items
-    merged) of two JSON files."""
-    with open(path_a) as fa, open(path_b) as fb:
-        doc_a, doc_b = json.load(fa), json.load(fb)
+    merged) of two manifests, without their numeric_env records."""
     changes: dict = {}
-    _walk(doc_a, doc_b, "", changes)
+    _walk(read_manifest(path_a)[0], read_manifest(path_b)[0], "", changes)
     return changes
 
 
@@ -136,6 +167,15 @@ def compare_dirs(dir_a, dir_b, out=sys.stdout) -> int:
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"{name}: identical bytes", file=out)
             continue
+        if name == "manifest.json":
+            (doc_a, env_a), (doc_b, env_b) = map(read_manifest,
+                                                 (path_a, path_b))
+            for line in env_differences(env_a, env_b):
+                print(f"{name}: {ENV_KEY} differs, {line}", file=out)
+            if json.dumps(doc_a, sort_keys=True) \
+                    == json.dumps(doc_b, sort_keys=True):
+                print(f"{name}: identical apart from {ENV_KEY}", file=out)
+                continue
         compare = compare_json if name.endswith(".json") else compare_csv
         try:
             changes = compare(path_a, path_b)

@@ -2,10 +2,12 @@
 """Write the outputs that show whether two versions of the program give the
 same numbers.
 
-    PYTHONPATH=<checkout>/src python scripts/reference_outputs.py OUT
+    PYTHONPATH=<checkout>/src \\
+        python <checkout>/scripts/reference_outputs.py OUT
 
 vrfrbs is imported from the import path, so PYTHONPATH chooses the program
-whose outputs are written.  OUT then holds
+whose outputs are written; run the same checkout's copy of this script,
+which takes numeric_env from its vrfrbs.bench.  OUT then holds
 
     policy_eval_desk/  scripts/configs/policy_eval_desk.json at
                        DESK_EPOCHS["policy_eval_desk"] epochs
@@ -20,10 +22,11 @@ whose outputs are written.  OUT then holds
                        VERIFY_SEEDS and VERIFY_TRIALS trials: per run, one
                        line naming it and its exit code, then its report
                        lines
-    numeric_env.json   what byte identity depends on: the Python and numpy
-                       versions, the BLAS name and version from numpy's
-                       build config, every *_NUM_THREADS variable and the
-                       number of usable CPUs (nproc)
+    numeric_env.json   what byte identity depends on (`bench.numeric_env`,
+                       which every manifest.json also records): the Python
+                       and numpy versions, the BLAS name and version from
+                       numpy's build config, every *_NUM_THREADS variable
+                       and the number of usable CPUs (nproc)
 
 The three matrix runs use seeds DESK_SEEDS and "timing": "off", so a
 rerun with the same numpy, BLAS and thread count writes the same bytes.
@@ -38,15 +41,11 @@ Compare two such directories A and B with
 import contextlib
 import io
 import json
-import os
-import platform
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import vrfrbs
-from vrfrbs.bench import run_experiment
+from vrfrbs.bench import numeric_env, run_experiment
 from vrfrbs.cli import main as cli_main
 from vrfrbs.estimators import KINDS
 
@@ -76,23 +75,6 @@ def write_verify_lines(path: Path) -> None:
                     code = cli_main(args)
                 fh.write(f"vrfrbs {' '.join(args)}: exit {code}\n"
                          + report.getvalue())
-
-
-def numeric_env() -> dict:
-    """The versions and settings the output bytes depend on."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):
-        blas = {}
-    try:
-        nproc = len(os.sched_getaffinity(0))
-    except AttributeError:   # not on Linux
-        nproc = os.cpu_count()
-    threads = {key: value for key, value in sorted(os.environ.items())
-               if key.endswith("_NUM_THREADS")}
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "num_threads": threads, "nproc": nproc}
 
 
 def main(argv=None) -> int:

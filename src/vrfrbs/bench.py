@@ -12,7 +12,7 @@ evaluations), and writes
                    on an integer epoch grid (interpolated in log-residual)
     manifest.json  the software version, the resolved configuration
                    (`load_config`: defaults filled in, the problem block
-                   as given) and one resolution per cell
+                   as given), `numeric_env()` and one resolution per cell
 
 Floats are written with 17 significant digits (exact decimal round-trip)
 and LF line endings.  manifest.json is strict JSON: a non-finite float (an
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -452,6 +454,26 @@ def _strict_json(value):
     return value
 
 
+def numeric_env() -> dict:
+    """What the output bytes depend on besides the program and its config:
+    the Python and numpy versions, the BLAS name and version from numpy's
+    build config, every *_NUM_THREADS variable and the number of usable
+    CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:   # not on Linux
+        nproc = os.cpu_count()
+    threads = {key: value for key, value in sorted(os.environ.items())
+               if key.endswith("_NUM_THREADS")}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "num_threads": threads, "nproc": nproc}
+
+
 def run_experiment(config, out_dir):
     """Execute the experiment matrix and write runs.csv, summary.csv, and
     manifest.json into out_dir.  Returns the list of per-cell resolutions.
@@ -480,6 +502,7 @@ def run_experiment(config, out_dir):
     _write_summary_csv(out / "summary.csv", experiment_id, cells,
                        config["run"]["epochs"])
     manifest = {"version": __version__, **config,
+                "numeric_env": numeric_env(),
                 "cells": sorted((c.resolution for c in cells),
                                 key=lambda r: (r["algorithm"], r["seed"]))}
     with open(out / "manifest.json", "w", newline="\n") as fh:

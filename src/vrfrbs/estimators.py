@@ -497,6 +497,15 @@ def _first_occurrences(idx):
     return srt[keep], order[keep]
 
 
+def _weighted_sums(W, rows):
+    """W @ rows over the leading batch axis of (b, dim) rows, or of a
+    trial-batched (b, T, dim) array in one matrix product for all trials."""
+    if rows.ndim == 2:
+        return W @ rows
+    sums = W @ rows.reshape(len(rows), -1)
+    return sums.reshape((len(W),) + rows.shape[1:])
+
+
 def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
                 trials: Optional[int] = None):
     """Evaluate S_tilde at step state.k from materialized draws.
@@ -515,6 +524,15 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
     term reuses G_B(x_{k-1}) right after a refresh, and shared hybrid
     batches reuse the recursion's G_B(x_k) and G_B(x_{k-1}).  The points
     evaluated on one batch go to the operator in one stacked call.
+
+    saga's table bookkeeping is two matrix products, W @ old on the table's
+    gathered rows and W @ comp on the new component rows, whose row 0
+    (weights 1/b) gives the batch means and row 1 (1/n at each index's
+    first position) the running mean's change; a trial-batched step takes
+    row 0 only.  BLAS sums in its own order, so these match the
+    np.add.reduce sums only to rounding (3e-15 relative over 2000 pe-desk
+    steps); the running mean is recomputed from the table every
+    _SAGA_RESYNC_EVERY steps.
     """
     kind, pm = state.kind, state.params
     ev = _StepEval(state, trials)
@@ -538,21 +556,20 @@ def _apply_step(state: EstimatorState, x, x1, x2, draws: dict,
         idx = draws["batch"]
         comp_x1 = ev.components(x1, idx)
         gx = ev.mean(x, idx)
-        # add.reduce / b: the bits of .mean(axis=0) without its Python
-        # wrapper; take gathers the same rows as indexing, with less overhead
         b = len(idx)
         old = state.table.take(idx, axis=0)
-        table_batch = np.add.reduce(old, axis=0) / b
-        value = state.table_mean - table_batch + 2.0 * gx \
-            - np.add.reduce(comp_x1, axis=0) / b
+        # W's row 0 averages a batch; in one step its row 1 puts 1/n at each
+        # index's first position, whose rows replace table[uniq] = old[first]
+        W = np.zeros((2 if trials is None else 1, b))
+        W[0] = 1.0 / b
         if trials is None:
             uniq, first = _first_occurrences(idx)
-            new_rows = comp_x1.take(first, axis=0)
-            # old[first] is table[uniq]: the rows gathered for table_batch
-            state.table_mean = state.table_mean + np.add.reduce(
-                new_rows - old.take(first, axis=0), axis=0) \
-                / state.problem.n_components
-            state.table[uniq] = new_rows
+            W[1, first] = 1.0 / state.problem.n_components
+        O, C = _weighted_sums(W, old), _weighted_sums(W, comp_x1)
+        value = state.table_mean - O[0] + 2.0 * gx - C[0]
+        if trials is None:
+            state.table_mean = state.table_mean + (C[1] - O[1])
+            state.table[uniq] = comp_x1.take(first, axis=0)
             if state.k % _SAGA_RESYNC_EVERY == 0:
                 state.table_mean = state.table.mean(axis=0)
 

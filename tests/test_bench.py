@@ -740,6 +740,20 @@ def test_manifest_writes_non_finite_floats_as_strings(tmp_path):
     assert manifest["problem"]["radius"] == "inf"
 
 
+def test_manifest_records_numeric_env(tmp_path, monkeypatch):
+    """The manifest names what its bytes depend on: the Python and numpy
+    versions, the BLAS, every *_NUM_THREADS variable and the CPU count."""
+    monkeypatch.setenv("VRFRBS_TEST_NUM_THREADS", "3")
+    cfg = toy_config()
+    cfg["run"].update(epochs=1, seeds=[0])
+    run_experiment(cfg, tmp_path)
+    env = _load_strict_json(tmp_path / "manifest.json")["numeric_env"]
+    assert env == bench.numeric_env()
+    assert env["numpy"] == np.__version__
+    assert env["num_threads"]["VRFRBS_TEST_NUM_THREADS"] == "3"
+    assert sorted(env["blas"]) == ["name", "version"] and env["nproc"] >= 1
+
+
 def test_cli_mega_batch_above_n_exits_before_any_cell(tmp_path, capsys,
                                                       monkeypatch):
     """A mega batch larger than the finite sum is exit 2 naming the field

@@ -189,6 +189,47 @@ def test_saga_stores_first_occurrence_of_a_repeated_index():
         assert np.array_equal(st_.table[i], comp[pos])
 
 
+def test_saga_weighted_sums_track_the_add_reduce_formula():
+    """saga's batch means and table-mean update are matrix products with
+    1/b and first-occurrence 1/n weights.  Over 600 pe-desk steps, which
+    cross the k = 512 resync: the value is within 1e-12 relative of the
+    same formula with np.add.reduce sums, the table's rows are the
+    first-occurrence component rows bit for bit, and the running mean is
+    within 1e-12 of the table's mean, and equal to it after the resync."""
+    prob = build_problem({"family": "policy-eval", "states": 100,
+                          "actions": 10, "transitions": 2000,
+                          "features": 21, "gamma": 0.95, "tau_reg": 1e-4,
+                          "seed": 7}, 0, False)
+    op, b = prob.forward, 79
+    rng = np.random.default_rng(3)
+    x2 = x1 = np.zeros(op.dim)
+    st_ = make_estimator("saga", EstimatorParams(b=b), prob, x1, seed=0)
+    repeated = 0
+    for k in range(1, 601):
+        x = rng.standard_normal(op.dim)
+        table, table_mean = st_.table.copy(), st_.table_mean
+        st_.k = k
+        draws = estimators._make_draws(st_, x, x1, x2)
+        value, calls = _apply_step(st_, x, x1, x2, draws)
+        idx = draws["batch"]
+        comp = op.batch_components(x1, idx)
+        want = table_mean - np.add.reduce(table[idx], axis=0) / b \
+            + 2.0 * op.batch_mean(x, idx) - np.add.reduce(comp, axis=0) / b
+        assert calls == 2 * b
+        assert np.linalg.norm(value - want) <= 1e-12 * np.linalg.norm(want)
+        uniq, first = np.unique(idx, return_index=True)
+        repeated += len(uniq) < b
+        table[uniq] = comp[first]
+        assert np.array_equal(st_.table, table)
+        exact = table.mean(axis=0)
+        assert np.linalg.norm(st_.table_mean - exact) \
+            <= 1e-12 * (1 + np.linalg.norm(exact))
+        if k == 512:
+            assert np.array_equal(st_.table_mean, exact)
+        x2, x1 = x1, x
+    assert repeated > 300
+
+
 def test_first_occurrences_match_np_unique():
     rng = np.random.default_rng(11)
     batches = [np.array([3]), np.array([2, 2, 2]), np.array([5, 1, 5, 1, 0])]

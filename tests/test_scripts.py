@@ -134,6 +134,54 @@ def test_compare_runs_reads_non_finite_strings_as_floats(toy_run, tmp_path,
                                 toy_run / "manifest.json")
 
 
+def _edit_numeric_env(run_dir, edit):
+    path = run_dir / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("csv_edit, status", [(None, 0), (
+    ("rel_residual", lambda v: format(float(v) * (1 + 1e-12), ".17g")), 1)],
+    ids=["env-only", "env-and-rounding"])
+def test_compare_runs_reports_numeric_env_apart(toy_run, tmp_path, capsys,
+                                                csv_edit, status):
+    """A numeric_env difference is reported entry by entry and never sets
+    the exit status: manifests that differ only there count as identical."""
+    other = tmp_path / "other"
+    shutil.copytree(toy_run, other)
+
+    def edit(doc):
+        doc["numeric_env"]["num_threads"]["OPENBLAS_NUM_THREADS"] = "7"
+        doc["numeric_env"]["nproc"] = -1
+
+    _edit_numeric_env(other, edit)
+    if csv_edit is not None:
+        _edit_last_row(other, *csv_edit)
+    compare = _load_script("compare_runs.py")
+    assert compare.main([str(toy_run), str(other)]) == status
+    report = capsys.readouterr().out.splitlines()
+    env = json.loads((toy_run / "manifest.json").read_text())["numeric_env"]
+    assert "manifest.json: numeric_env differs, nproc: " \
+        f"{env['nproc']!r} != -1" in report
+    assert "manifest.json: numeric_env differs, " \
+        "num_threads.OPENBLAS_NUM_THREADS: " \
+        f"{env['num_threads'].get('OPENBLAS_NUM_THREADS')!r} != '7'" in report
+    assert "manifest.json: identical apart from numeric_env" in report
+
+
+def test_compare_runs_names_a_missing_numeric_env(toy_run, tmp_path, capsys):
+    """A manifest written before numeric_env was recorded compares by its
+    numbers alone."""
+    other = tmp_path / "other"
+    shutil.copytree(toy_run, other)
+    _edit_numeric_env(other, lambda doc: doc.pop("numeric_env"))
+    compare = _load_script("compare_runs.py")
+    assert compare.main([str(toy_run), str(other)]) == 0
+    assert "manifest.json: numeric_env differs, absent in B" \
+        in capsys.readouterr().out.splitlines()
+
+
 # --- reference_outputs.py ----------------------------------------------------
 
 def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):
@@ -160,3 +208,6 @@ def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):
     env = json.loads((runs[0] / "numeric_env.json").read_text())
     assert sorted(env) == ["blas", "nproc", "num_threads", "numpy", "python"]
     assert sorted(env["blas"]) == ["name", "version"]
+    manifest = json.loads(
+        (runs[0] / "policy_eval_desk" / "manifest.json").read_text())
+    assert manifest["numeric_env"] == env
