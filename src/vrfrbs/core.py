@@ -12,6 +12,7 @@ charge every evaluation they make, and the residual diagnostic is free.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
@@ -28,22 +29,40 @@ class InfeasibleParametersError(ValueError):
     relative to the Lipschitz constant)."""
 
 
+_REAL = (int, float, np.integer, np.floating)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite_positive(value) -> bool:
+    """A number in (0, float max]: float arithmetic on it cannot raise (a
+    larger int would not convert to float).  A bool is not a number.  The
+    concrete types, not numbers.Real, keep the check cheap: make_estimator
+    runs it for every Monte-Carlo history."""
+    return isinstance(value, _REAL) and not isinstance(value, bool) \
+        and 0 < value <= _FLOAT_MAX
+
+
+def _check_positive(name: str, value) -> None:
+    if not _finite_positive(value):
+        raise ValueError(f"{name} = {value!r} must be a finite number > 0")
+
+
 # ---------------------------------------------------------------------------
 # Forward operators
 #
 # Every operator's batch_mean(x, idx) takes one point, x of shape (dim,), or
-# a stack of P points, x of shape (P, dim).  For a stack, idx holds P
-# equal-length batches back to back, batch p belonging to point p, and the
-# result is the (P, dim) array of the P batch means.  Either way the cost is
-# len(idx) component evaluations.
+# a stack of P points, x of shape (P, dim).  For a stack, idx holds one
+# batch P times back to back, one copy per point, and the result is the
+# (P, dim) array of every point's mean on that batch.  Either way the cost
+# is len(idx) component evaluations, which is what a stack is charged.
 # ---------------------------------------------------------------------------
 
 def _part_means(batch_mean, x, idx):
-    """Batch means of a stack of points, one call per point on its part."""
-    m = len(idx) // len(x)
+    """Batch means of a stack of points, one call per point on the batch."""
+    batch = idx[:len(idx) // len(x)]
     out = np.empty(x.shape)
     for p, point in enumerate(x):
-        out[p] = batch_mean(point, idx[p * m:(p + 1) * m])
+        out[p] = batch_mean(point, batch)
     return out
 
 
@@ -85,7 +104,7 @@ class SampledOperator:
 
     def batch_mean(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Mean of the components in `idx` at `x`; for a (P, dim) stack of
-        points, one mean per point over its own part of `idx`."""
+        points, one mean per point over the batch `idx` repeats."""
         if x.ndim == 2:
             return _part_means(self.batch_mean, x, idx)
         # the bits of .mean(axis=0) without its Python-level wrapper
@@ -111,9 +130,9 @@ class RowOperator:
     scored blocks.  A block without rows (cols_k = None) writes the
     coefficient itself into the single coordinate slot_k.  Blocks may
     share slots; their contributions add.  An evaluation gathers the
-    selected rows once, for all blocks and, for a stack of points, for
-    all points, or reads all n rows in place on the dense path of
-    `batch_mean`.  It scores every point with its own matrix-vector
+    selected rows once, for all blocks and, for a stack of points on one
+    batch, for all points, or reads all n rows in place on the dense path
+    of `batch_mean`.  It scores every point with its own matrix-vector
     product, so a point's scores have the same bits in a stack as on
     their own.
 
@@ -129,12 +148,14 @@ class RowOperator:
             (None for a block without a score) and sel is the index array
             or slice that selected them, for per-sample data such as
             labels.  For one point x is (dim,) and each score and
-            coefficient array (m,).  For a (P, dim) stack of points x is
-            handed over coordinate-major as (dim, P, 1), so that x[k] is
-            a (P, 1) column; sel is (P, m) and each score and coefficient
-            array (P, m).  On the dense path sel is slice(None) and m is
-            n, for one point and for a stack.  An elementwise formula
-            serves all of these.
+            coefficient array (m,).  For a (P, dim) stack of points on
+            one batch x is handed over coordinate-major as (dim, P, 1), so
+            that x[k] is a (P, 1) column; sel is the batch's (m,) indices,
+            each score array is (P, m), and each coefficient array must
+            be (P, m) too (per-sample data read through sel broadcasts
+            against the scores).  On the dense path sel is slice(None)
+            and m is n, for one point and for a stack.  An elementwise
+            formula serves all of these.
         full_eval: closed form for the exact mean.  Epoch accounting still
             charges n per full evaluation.
         common: optional term shared by every component; maps a point or a
@@ -181,8 +202,8 @@ class RowOperator:
             if part is None:
                 scores.append(None)
             elif stacked:
-                # (P, m, w) @ (P, w, 1), or the dense path's (n, w) rows
-                # against it: one matrix-vector product per point
+                # the batch's (m, w) rows, or the dense path's (n, w),
+                # @ (P, w, 1): one matrix-vector product per point
                 scores.append((R @ x[:, part, None])[..., 0])
             else:
                 scores.append(R @ x[part])
@@ -209,7 +230,7 @@ class RowOperator:
 
     def batch_mean(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Mean of the components in `idx` at `x`; for a (P, dim) stack of
-        points, one mean per point over its own part of `idx`.
+        points, one mean per point over the batch `idx` repeats.
 
         Scores are one matrix-vector product per point and block.  So are
         the weighted sums on the gather path (m < n // 4), where a point's
@@ -218,23 +239,22 @@ class RowOperator:
         bits of its means at rounding level.
         """
         stacked = x.ndim == 2
-        m = len(idx) // len(x) if stacked else len(idx)
-        if m < self.n // 4:
-            # small batches: gathered rows, one matrix-vector product each;
-            # a stack gathers its P batches at once as (P, m, W)
-            rows, coefs = self._select(
-                x, idx.reshape(len(x), m) if stacked else idx)
+        if stacked:
+            idx = idx[:len(idx) // len(x)]   # the stack's one batch
+        m = len(idx)
+        gathered = m < self.n // 4
+        if gathered:
+            # small batches: the batch's rows gathered once as (m, W), for
+            # every point of a stack
+            rows, coefs = self._select(x, idx)
         else:
-            # large batches: every row weighted by its multiplicity in each
-            # point's part, which reads the blocks sequentially instead of
-            # gathering rows; one bincount per part, as the parts may differ
-            parts = idx.reshape(len(x), m) if stacked else idx[None]
-            counts = np.empty((len(parts), self.n))
-            for p, part in enumerate(parts):
-                counts[p] = np.bincount(part, minlength=self.n)
+            # large batches: every row weighted by its multiplicity in the
+            # batch, which reads the blocks sequentially instead of
+            # gathering rows; one bincount for the whole stack, as floats
+            # (an integer operand makes each product cast)
+            counts = np.bincount(idx, minlength=self.n).astype(float)
             rows, coefs = self._select(x, slice(None))
-            coefs = tuple((counts if stacked else counts[0]) * c
-                          for c in coefs)
+            coefs = tuple(counts * c for c in coefs)
         out = np.zeros(x.shape)
         if self.common is not None:
             out += self.common(x)
@@ -242,9 +262,9 @@ class RowOperator:
                                              self._writes_first):
             if R is None:
                 total = c.sum(axis=-1)
-            elif R.ndim == 3:
-                # a gathered stack: c_p^T R_p for each point p, a
-                # (P, 1, m) @ (P, m, w) stack of vector-matrix products
+            elif stacked and gathered:
+                # c_p^T R for each point p, a (P, 1, m) @ (m, w) stack of
+                # the vector-matrix products one point makes
                 total = (c[:, None, :] @ R)[:, 0]
             else:
                 # (P, n) @ (n, w) for a dense stack; for one point the
@@ -327,16 +347,19 @@ def apply_resolvent(res: Resolvent, z: np.ndarray, eta: float = 1.0) -> np.ndarr
             if nrm > res.radius:
                 head *= res.radius / nrm
         tail = out[z.size - nb:]
-        np.clip(tail, -res.box_bounds, res.box_bounds, out=tail)
+        # numpy's float clip is this min(max()), NaN included, without
+        # np.clip's Python-level wrapper
+        np.minimum(np.maximum(tail, -res.box_bounds, out=tail),
+                   res.box_bounds, out=tail)
         return out
     if res.kind == "soft-threshold":
         out = z.copy()
         lam = eta * res.weight
         if lam > 0:
             # th - clip(th) is sign(th) * max(|th| - lam, 0), up to the
-            # sign of zero entries
+            # sign of zero entries; the clip as the min(max()) it is
             th = out[: res.theta_dim]
-            th -= th.clip(-lam, lam)
+            th -= np.minimum(np.maximum(th, -lam), lam)
         return out
     raise ValueError(f"unknown resolvent kind {res.kind!r}")
 
@@ -380,8 +403,7 @@ def fb_residual(problem: InclusionProblem, eta: float, x: np.ndarray):
     Returns:
         (r, ||r||)
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_positive("eta", eta)
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"dimension mismatch: expected ({problem.dim},), "

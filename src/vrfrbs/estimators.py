@@ -32,13 +32,13 @@ by the step-size validators in `solver`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import InclusionProblem, UnsupportedConfigError
+from .core import (InclusionProblem, UnsupportedConfigError, _check_positive,
+                   _finite_positive)
 
 FULL = "full"
 SGD = "sgd"
@@ -150,24 +150,6 @@ _SAGA_RESYNC_EVERY = 512
 _DRAWS_AHEAD = (SAGA, HSGD)
 _DRAW_CHUNK = 4096
 _NOTHING_AHEAD = np.empty(0, dtype=np.int64)
-
-
-_REAL = (int, float, np.integer, np.floating)
-_FLOAT_MAX = sys.float_info.max
-
-
-def _finite_positive(value) -> bool:
-    """A number in (0, float max]: float arithmetic on it cannot raise (a
-    larger int would not convert to float).  A bool is not a number.  The
-    concrete types, not numbers.Real, keep the check cheap: make_estimator
-    runs it for every Monte-Carlo history."""
-    return isinstance(value, _REAL) and not isinstance(value, bool) \
-        and 0 < value <= _FLOAT_MAX
-
-
-def _check_positive(name: str, value) -> None:
-    if not _finite_positive(value):
-        raise ValueError(f"{name} = {value!r} must be a finite number > 0")
 
 
 def _check_n(n) -> None:

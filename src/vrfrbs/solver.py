@@ -18,9 +18,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import InclusionProblem, InfeasibleParametersError, apply_resolvent, fb_residual
-from .estimators import (EstimatorState, TheoryCard, _check_positive,
-                         _finite_positive, estimator_step)
+from .core import (InclusionProblem, InfeasibleParametersError,
+                   _check_positive, _finite_positive, apply_resolvent,
+                   fb_residual)
+from .estimators import EstimatorState, TheoryCard, estimator_step
 
 UNBIASED_STEP_DENOM = 3.0 * math.sqrt(2.0)   # eta < 1/(3 sqrt(2) L)
 BIASED_STEP_DENOM = math.sqrt(134.0)         # eta < 1/(sqrt(134) L)
@@ -153,8 +154,7 @@ def run(problem: InclusionProblem, estimator: EstimatorState,
     Raises DivergenceError (with the partial trace attached) if an iterate
     goes non-finite or its norm exceeds DIVERGENCE_NORM.
     """
-    if config.eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_positive("eta", config.eta)
     if config.max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     if estimator.k != 0:

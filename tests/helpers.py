@@ -11,9 +11,10 @@ from vrfrbs.core import apply_resolvent
 class InstrumentedOperator:
     """Wraps a finite-sum operator (a SampledOperator with n set, or a
     RowOperator) and counts logical component evaluations:
-    full -> n, batch access -> len(batch), which for a stack of points is
-    the total over their batches.  Used to audit the estimators'
-    self-reported call counts."""
+    full -> n, batch access -> len(batch), which for a stack of P points
+    is P times their one batch.  Used to audit the estimators'
+    self-reported call counts, and that every stacked batch_mean call
+    repeats one batch, as the operators' stack contract requires."""
 
     def __init__(self, op):
         self._op = op
@@ -29,6 +30,10 @@ class InstrumentedOperator:
         return self._op.batch_components(x, idx)
 
     def batch_mean(self, x, idx):
+        if x.ndim == 2:
+            parts = np.asarray(idx).reshape((len(x), -1) + np.shape(idx)[1:])
+            assert (parts == parts[0]).all(), \
+                "a stacked batch_mean call must repeat one batch per point"
         self.observed += len(idx)
         return self._op.batch_mean(x, idx)
 

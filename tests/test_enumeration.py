@@ -6,7 +6,7 @@ import pytest
 
 from vrfrbs.estimators import EstimatorParams, _make_draws, make_estimator
 from vrfrbs.problems import linear_toy
-from vrfrbs.verification import (ENUM_TOL, FrozenHistory,
+from vrfrbs.verification import (ENUM_TOL, FrozenHistory, _check_mean,
                                  _exact_direction_value, _next_step,
                                  _step_outcomes, build_history,
                                  check_bias_recursion, check_unbiased,
@@ -151,10 +151,18 @@ def test_mega_batch_monte_carlo_checks_target_the_anchor_error(kind, params,
                                                                seed):
     """The Monte-Carlo checks certify the identities above: with a target
     of 0 (svrg) or (1 - omega) e_{k-1} (hsvrg) these cases fail at 19.7 to
-    82.9 standard errors."""
+    82.9 standard errors.  For svrg that is a negative control on the same
+    draws: the zero target an unbiased kind without a stale anchor would
+    have fails at 47.5 (seed 1) to 82.9 (seed 2) standard errors."""
     check = check_unbiased if kind == "svrg" else check_bias_recursion
-    rep = check(history_for(kind, params, 4, seed), trials=20_000, seed=3)
+    hist = history_for(kind, params, 4, seed)
+    rep = check(hist, trials=20_000, seed=3)
     assert rep.passed, rep.to_line()
+    if kind == "svrg":
+        zero = _check_mean(hist, "unbiased/svrg", np.zeros(hist.problem.dim),
+                           20_000, 3, "mc")
+        assert not zero.passed
+        assert 10.0 < zero.margin_sigmas < 100.0, zero.to_line()
 
 
 MEGA_CASES = [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrfrbs import estimators
+from vrfrbs import bench, estimators
 from vrfrbs.bench import build_problem, run_experiment
 from vrfrbs.core import (InclusionProblem, SampledOperator,
                          identity_resolvent, UnsupportedConfigError)
@@ -611,7 +611,32 @@ def _pinned(cells, key):
             for c in cells}
 
 
-def test_step_matrix_iterations_and_calls(tmp_path):
+def _audited_run(config, out_dir, monkeypatch):
+    """run_experiment with every cell's forward operator wrapped in
+    InstrumentedOperator: each stacked batch_mean call is checked against
+    the stack contract, and each cell must have evaluated exactly its
+    charged oracle calls plus n per recorded (uncharged) residual."""
+    wrapped = []
+
+    def build_audited(*args):
+        problem, op = instrumented_problem(build_problem(*args))
+        wrapped.append(op)
+        return problem
+
+    monkeypatch.setattr(bench, "build_problem", build_audited)
+    cells = run_experiment(config, out_dir)
+    records = {}
+    for row in bench.read_runs_csv(out_dir / "runs.csv"):
+        key = (row["algorithm"], row["seed"])
+        records[key] = records.get(key, 0) + 1
+    assert len(wrapped) == len(cells)
+    for op, cell in zip(wrapped, cells):
+        residuals = records[(cell["algorithm"], cell["seed"])]
+        assert op.observed == cell["oracle_calls"] + op.n * residuals, cell
+    return cells
+
+
+def test_step_matrix_iterations_and_calls(tmp_path, monkeypatch):
     config = {
         "experiment_id": "step-matrix",
         "problem": {"family": "affine-toy", "dim": 4, "components": 30,
@@ -621,7 +646,7 @@ def test_step_matrix_iterations_and_calls(tmp_path):
                        for name, (kind, params, _) in STEP_MATRIX.items()],
         "run": {"epochs": 10, "record_every_epochs": 5.0, "seeds": [0]},
     }
-    cells = run_experiment(config, tmp_path)
+    cells = _audited_run(config, tmp_path, monkeypatch)
     got = _pinned(cells, key=lambda c: c["algorithm"])
     assert got == {name: cell[2] for name, cell in STEP_MATRIX.items()}
 
@@ -663,13 +688,14 @@ DESK_MATRICES = {
 
 
 @pytest.mark.parametrize("name", list(DESK_MATRICES))
-def test_desk_matrix_iterations_calls_and_residuals(name, tmp_path):
+def test_desk_matrix_iterations_calls_and_residuals(name, tmp_path,
+                                                   monkeypatch):
     size, pinned = DESK_MATRICES[name]
     config = json.loads(
         (REPO / "scripts" / "configs" / f"{name}.json").read_text())
     config["problem"].update(size)
     config["run"] = {"epochs": 8, "record_every_epochs": 4.0, "seeds": [0, 1]}
-    cells = run_experiment(config, tmp_path)
+    cells = _audited_run(config, tmp_path, monkeypatch)
     got = _pinned(cells, key=lambda c: (c["algorithm"], c["seed"]))
     assert got == pinned
 

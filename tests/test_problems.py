@@ -603,8 +603,9 @@ def _stack_operator(family):
 @pytest.mark.parametrize("family", ["auc", "pe", "affine-toy", "minimal",
                                     "linear-toy", "oracle"])
 def test_stacked_batch_mean_equals_per_point_calls(family):
-    """A (P, dim) stack of points with P batches back to back gives each
-    point's own batch mean, bit for bit on the gather path and for P = 1.
+    """A (P, dim) stack of points with their one batch repeated P times
+    gives each point's own mean on that batch, bit for bit on the gather
+    path and for P = 1.
 
     A RowOperator's dense path (m >= n // 4) sums a stack of P >= 2 points
     in one (P, n) @ (n, w) product where a one-point call makes a
@@ -621,13 +622,11 @@ def test_stacked_batch_mean_equals_per_point_calls(family):
     for m in sizes:
         for P in (1, 2, 3, 4):
             X = rng.standard_normal((P, op.dim))
-            parts = [op.draw(rng, m) for _ in range(P)]
-            parts[0][-1] = parts[0][0]  # a repeated sample whenever m > 1
-            if P > 1:
-                parts[1] = parts[0]  # two points on one batch, as in a step
-            got = op.batch_mean(X, np.concatenate(parts))
+            batch = op.draw(rng, m)
+            batch[-1] = batch[0]  # a repeated sample whenever m > 1
+            got = op.batch_mean(X, np.concatenate((batch,) * P))
             assert got.shape == (P, op.dim)
-            want = np.array([op.batch_mean(X[p], parts[p]) for p in range(P)])
+            want = np.array([op.batch_mean(X[p], batch) for p in range(P)])
             if P > 1 and isinstance(op, RowOperator) and m >= n // 4:
                 bound = 1e-12 * np.abs(want).max()
                 assert np.abs(got - want).max() <= bound, (m, P)

@@ -182,6 +182,34 @@ def test_compare_runs_names_a_missing_numeric_env(toy_run, tmp_path, capsys):
         in capsys.readouterr().out.splitlines()
 
 
+# --- cell_ab.py --------------------------------------------------------------
+
+def test_cell_ab_times_one_tree_against_itself(tmp_path, capsys):
+    """Smoke test: the same tree on both sides of a tiny affine-toy config
+    prints one row per cell with equal outputs, and the sum of the cells."""
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({
+        "experiment_id": "ab",
+        "problem": {"family": "affine-toy", "dim": 4, "components": 30,
+                    "seed": 5},
+        "algorithms": [{"name": kind, "estimator": kind,
+                        "params": {"b": 4, "p_switch": 0.3}, "eta": "1/8L"}
+                       for kind in ("svrg", "sarah")],
+    }))
+    tree = str(SCRIPTS.parent)
+    cell_ab = _load_script("cell_ab.py")
+    assert cell_ab.main([tree, tree, "--config", str(config),
+                         "--epochs", "3", "--reps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["cell", "A", "ms", "B", "ms", "B/A", "same",
+                                "outputs"]
+    assert [line.split()[0] for line in lines[1:]] == ["svrg", "sarah", "sum"]
+    for line in lines[1:3]:
+        _, a_ms, b_ms, ratio, same = line.split()
+        assert float(a_ms) > 0 and float(b_ms) > 0 and float(ratio) > 0
+        assert same == "yes"
+
+
 # --- reference_outputs.py ----------------------------------------------------
 
 def test_reference_outputs_rerun_byte_identical(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vrfrbs.core import (InclusionProblem, SampledOperator,
-                         ball_box_resolvent, identity_resolvent)
+                         ball_box_resolvent, fb_residual, identity_resolvent)
 from vrfrbs.estimators import EstimatorParams, make_estimator
 from vrfrbs.problems import (affine_problem_from_components, bilinear_problem,
                              linear_toy, strongly_monotone_affine)
@@ -162,3 +162,19 @@ def test_run_rejects_advanced_estimator():
     run(prob, est, SolverConfig(eta=0.1, max_iters=3))
     with pytest.raises(ValueError, match="fresh"):
         run(prob, est, SolverConfig(eta=0.1, max_iters=3))
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0, True],
+                         ids=["nan", "inf", "-inf", "zero", "negative",
+                              "true"])
+def test_step_size_must_be_a_finite_positive_number(eta):
+    """A step size that is not a finite number > 0 is a bad argument named
+    as eta, in the run and in the residual diagnostic alike: nan or inf
+    must not run until its first iterate and read as divergence, nor True
+    run as eta = 1."""
+    prob = linear_toy(10, 4)
+    est = make_full(prob, np.ones(4))
+    with pytest.raises(ValueError, match="eta"):
+        run(prob, est, SolverConfig(eta=eta, max_iters=3))
+    with pytest.raises(ValueError, match="eta"):
+        fb_residual(prob, eta, np.ones(4))

@@ -146,6 +146,25 @@ def test_bias_recursion_rejects_a_wrong_previous_error(kind, params):
     assert 10.0 < rep.margin_sigmas < 100.0, rep.to_line()
 
 
+def test_variance_recursion_rejects_a_lowered_slack():
+    """Negative control at the default 4-sigma threshold.  sgd is the kind
+    whose bound the realized quantities can move past the realized mean:
+    its kappa = 1 drops Delta_{k-1}, and its slack delta_k = sigma_k^2 / b_k
+    is most of the bound (7.18 of 8.80 here), where every other kind's
+    Theta terms alone exceed its mean 2.5- to 410-fold on this toy
+    (histories 0-2, experiment defaults and b = 3).  At 2000 trials the
+    mean of ||e_k||^2 is 7.06 with a standard error of 0.111, so the check
+    passes at -15.7 sigma; halving delta_k lowers the bound to 5.21, 16.6
+    standard errors below the mean, on the same draws."""
+    hist = history_for("sgd", default_params("sgd", n=10,
+                                             profile="experiment"))
+    assert check_variance_recursion(hist, trials=2000, seed=5).passed
+    lowered = dataclasses.replace(hist, delta_k=hist.delta_k / 2)
+    rep = check_variance_recursion(lowered, trials=2000, seed=5)
+    assert not rep.passed
+    assert 10.0 < rep.margin_sigmas < 100.0, rep.to_line()
+
+
 def test_std_error_is_the_standard_error_of_the_sample_mean():
     """A vector check's std_error is sqrt(sum_j var_j / count) over the
     coordinates j of the trial errors, and the variance check's is
